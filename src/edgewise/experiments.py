@@ -14,6 +14,7 @@ preservation rate from the cut structure.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -318,14 +319,6 @@ def _rows_all_set(words: np.ndarray, positions) -> np.ndarray:
     return out
 
 
-def _rows_none_set(words: np.ndarray, positions) -> np.ndarray:
-    zero = np.uint64(0)
-    out = np.ones(words.shape[0], dtype=bool)
-    for w, m in _masks(positions, words.shape[1]):
-        out &= (words[:, w] & m) == zero
-    return out
-
-
 def _row_popcounts(words: np.ndarray, n: int) -> np.ndarray:
     tail = n % _WORD
     view = words
@@ -359,6 +352,15 @@ def _kept_ids(vector: int, order: Sequence[int]) -> list[int]:
     return [eid for j, eid in enumerate(order) if (vector >> j) & 1]
 
 
+def _first_kept(edge_sets, pos: Mapping[int, int], vector: int):
+    """First edge set whose every edge is kept in the vector (~vector: dropped)."""
+    for eids in edge_sets:
+        mask = sum(1 << pos[e] for e in eids)
+        if vector & mask == mask:
+            return eids
+    return None
+
+
 def _witnesses(words, order, fail_rows, reason_fn, cap: int = 10) -> tuple:
     out = []
     for i in fail_rows[:cap]:
@@ -369,10 +371,53 @@ def _witnesses(words, order, fail_rows, reason_fn, cap: int = 10) -> tuple:
                 "row": i,
                 "vector": vec,
                 "kept": _kept_ids(vec, order),
-                "reason": reason_fn(i),
+                "reason": reason_fn(i, vec),
             }
         )
     return tuple(out)
+
+
+def _report(
+    g: Graph,
+    words: np.ndarray,
+    order: Sequence[int],
+    ok: np.ndarray,
+    reason_fn,
+    *,
+    theorem: str,
+    constants: tuple,
+    descriptor: dict,
+    mode: str,
+    seed: int,
+    generator: str | None,
+    rates: Mapping | None = None,
+    extras: dict | None = None,
+    deviations: tuple = (),
+    notes: tuple = (),
+) -> ExperimentReport:
+    """One report from a per-row verdict; reason_fn(row, vector) explains a
+    failing row and rates holds the rates besides success."""
+    n_rows = words.shape[0]
+    successes = int(ok.sum())
+    spec = ExperimentSpec(
+        generator=generator or f"custom(n={g.n},m={g.m})",
+        theorem=theorem,
+        constants=constants,
+        space=descriptor,
+        mode=mode,
+        trials=None if mode == "enumerate" else n_rows,
+        seed=None if mode == "enumerate" else seed,
+    )
+    return ExperimentReport(
+        spec=spec,
+        trials=n_rows,
+        successes=successes,
+        rates={"success": Fraction(successes, n_rows), **(rates or {})},
+        failure_witnesses=_witnesses(words, order, np.nonzero(~ok)[0], reason_fn),
+        deviations=_deviation_lines(constants) + tuple(deviations),
+        notes=_mode_notes(mode, n_rows) + tuple(notes),
+        extras=extras,
+    )
 
 
 def _check_space_matches(g: Graph, space: SampleSpace) -> list[int]:
@@ -398,12 +443,16 @@ def union_bound_component_floor(g: Graph, space: SampleSpace) -> Fraction:
     clamped at zero.  Exact rational.
     """
     order = _check_space_matches(g, space)
+    return _union_bound_floor(g.enumerate_cuts(), order, space)
+
+
+def _union_bound_floor(cuts, order: Sequence[int], space: SampleSpace) -> Fraction:
     pos = {eid: j for j, eid in enumerate(order)}
     marg = space.coordinate_marginals()
     k = space.params.k
     delta = space.params.delta
     total_fail = Fraction(0)
-    for eids, _, _ in g.enumerate_cuts():
+    for eids, _, _ in cuts:
         drops = sorted(1 - marg[pos[e]] for e in eids)[: min(k, len(eids))]
         pr = Fraction(1)
         for q in drops:
@@ -414,6 +463,21 @@ def union_bound_component_floor(g: Graph, space: SampleSpace) -> Fraction:
 
 
 # -- the experiments -----------------------------------------------------------
+
+
+def _components_kept(g: Graph, words: np.ndarray, order: Sequence[int], cuts):
+    """Rows whose kept edges leave the components of g intact, and the
+    witness reason: the first fully dropped cut when the cuts are listed."""
+    ok = g.component_counts(words) == g.component_count()
+    pos = {eid: j for j, eid in enumerate(order)}
+
+    def reason(i: int, vec: int) -> str:
+        if cuts is None:
+            return "component partition changed"
+        eids = _first_kept((c for c, _, _ in cuts), pos, ~vec)
+        return f"cut {sorted(eids)} fully dropped"
+
+    return ok, reason
 
 
 def connectivity_experiment(
@@ -429,76 +493,32 @@ def connectivity_experiment(
     """Rate at which the kept subgraph preserves the components of g.
 
     For disconnected inputs success means the component partition is
-    unchanged, not that the sample is connected.  When g is small enough
-    to enumerate its cuts the check runs vectorized over the support
-    (components change iff some cut edge set is fully dropped) and the
-    report carries the union-bound floor; otherwise each vector is checked
-    by union-find.
+    unchanged, not that the sample is connected: the kept subgraph has as
+    many components as g.  When g is small enough to enumerate its cuts the
+    report carries the cut count and the union-bound floor, and a witness
+    names a fully dropped cut.
     """
     order = _check_space_matches(g, space)
     words = _support_words(space, mode, trials, seed, budget)
-    n_rows = words.shape[0]
-    extras: dict = {}
-    floor = Fraction(0)
-
-    if g.n <= 20:
-        cuts = g.enumerate_cuts()
-        ok = np.ones(n_rows, dtype=bool)
-        dead_by_cut = []
-        for eids, _, _ in cuts:
-            dead = _rows_none_set(words, [order.index(e) for e in sorted(eids)])
-            dead_by_cut.append((eids, dead))
-            ok &= ~dead
-        extras["cut_count"] = len(cuts)
-        floor = union_bound_component_floor(g, space)
-
-        def reason(i: int) -> str:
-            for eids, dead in dead_by_cut:
-                if dead[i]:
-                    return f"cut {sorted(eids)} fully dropped"
-            return "unreachable"
-
-    else:
-        base = g.components()
-        flags = []
-        for i in range(n_rows):
-            kept = _kept_ids(_row_to_int(words, i), order)
-            flags.append(g.keep_edges(kept).components() == base)
-        ok = np.array(flags, dtype=bool)
-
-        def reason(i: int) -> str:
-            return "component partition changed"
-
-    successes = int(ok.sum())
-    fail_rows = np.nonzero(~ok)[0]
+    cuts = g.enumerate_cuts() if g.n <= 20 else None
+    floor = Fraction(0) if cuts is None else _union_bound_floor(cuts, order, space)
+    ok, reason = _components_kept(g, words, order, cuts)
     m = len(order)
     k_full = 2 * max(1, math.ceil(math.log2(max(m, 2))))
-    constants = (
-        _const("independence_order", k_full, space.params.k),
-        _const("marginal", Fraction(1, 2), space.params.marginal),
-        _const("independence_defect", 0, space.params.delta),
-    )
-    spec = ExperimentSpec(
-        generator=generator or f"custom(n={g.n},m={g.m})",
+    return _report(
+        g, words, order, ok, reason,
         theorem="kept subgraph preserves components",
-        constants=constants,
-        space=space.descriptor(),
+        constants=(
+            _const("independence_order", k_full, space.params.k),
+            _const("marginal", Fraction(1, 2), space.params.marginal),
+            _const("independence_defect", 0, space.params.delta),
+        ),
+        descriptor=space.descriptor(),
         mode=mode,
-        trials=None if mode == "enumerate" else n_rows,
-        seed=None if mode == "enumerate" else seed,
-    )
-    return ExperimentReport(
-        spec=spec,
-        trials=n_rows,
-        successes=successes,
-        rates={
-            "success": Fraction(successes, n_rows),
-            "union_bound_floor": floor,
-        },
-        failure_witnesses=_witnesses(words, order, fail_rows, reason),
-        deviations=_deviation_lines(constants),
-        notes=_mode_notes(mode, n_rows),
-        extras=extras,
+        seed=seed,
+        generator=generator,
+        rates={"union_bound_floor": floor},
+        extras={} if cuts is None else {"cut_count": len(cuts)},
     )
 
 
@@ -515,76 +535,45 @@ def cyclefree_experiment(
     """Rates of acyclicity and of keeping at least a tenth of the edges.
 
     success = both at once (the existence claim is success rate > 0, which
-    the caller asserts).  Acyclicity runs vectorized against the cycle list
-    when the graph is small enough to enumerate cycles; the edge count
-    check is a popcount either way.
+    the caller asserts).  A kept edge set is acyclic when it has n - c
+    edges for c the components it leaves.  A witness names its first
+    surviving cycle when the graph is small enough to list them.
     """
     order = _check_space_matches(g, space)
     words = _support_words(space, mode, trials, seed, budget)
     n_rows = words.shape[0]
     m = len(order)
-
+    pos = {eid: j for j, eid in enumerate(order)}
     floor = -(-m // 10)  # >= m/10 edges, integer form
-    big_enough = _row_popcounts(words, m) >= floor
+    kept = _row_popcounts(words, m)
+    big_enough = kept >= floor
+    acyclic = kept == g.n - g.component_counts(words)
+    cycles = functools.cache(g.enumerate_cycles)
 
-    if m <= 40:
-        cycles = g.enumerate_cycles()
-        acyclic = np.ones(n_rows, dtype=bool)
-        alive_by_cycle = []
-        for cyc in cycles:
-            alive = _rows_all_set(words, [order.index(e) for e in sorted(cyc)])
-            alive_by_cycle.append((cyc, alive))
-            acyclic &= ~alive
-
-        def reason(i: int) -> str:
-            for cyc, alive in alive_by_cycle:
-                if alive[i]:
-                    return f"cycle {sorted(cyc)} survived"
+    def reason(i: int, vec: int) -> str:
+        if acyclic[i]:
             return "fewer than the edge floor survived"
+        if m > 40:
+            return "a cycle survived"
+        return f"cycle {sorted(_first_kept(cycles(), pos, vec))} survived"
 
-    else:
-        flags = []
-        for i in range(n_rows):
-            kept = _kept_ids(_row_to_int(words, i), order)
-            flags.append(g.keep_edges(kept).is_forest())
-        acyclic = np.array(flags, dtype=bool)
-
-        def reason(i: int) -> str:
-            if not acyclic[i]:
-                return "a cycle survived"
-            return "fewer than the edge floor survived"
-
-    ok = acyclic & big_enough
-    successes = int(ok.sum())
-    fail_rows = np.nonzero(~ok)[0]
     k_full = 2 * max(1, math.ceil(math.log2(max(m, 2))))
-    delta_full = Fraction(1, max(m, 2) ** 200)
-    constants = (
-        _const("independence_order", k_full, space.params.k),
-        _const("marginal", Fraction(1, 2), space.params.marginal),
-        _const("independence_defect", delta_full, space.params.delta),
-    )
-    spec = ExperimentSpec(
-        generator=generator or f"custom(n={g.n},m={g.m})",
+    return _report(
+        g, words, order, acyclic & big_enough, reason,
         theorem="kept subgraph is cycle-free and not too small",
-        constants=constants,
-        space=space.descriptor(),
+        constants=(
+            _const("independence_order", k_full, space.params.k),
+            _const("marginal", Fraction(1, 2), space.params.marginal),
+            _const("independence_defect", Fraction(1, max(m, 2) ** 200), space.params.delta),
+        ),
+        descriptor=space.descriptor(),
         mode=mode,
-        trials=None if mode == "enumerate" else n_rows,
-        seed=None if mode == "enumerate" else seed,
-    )
-    return ExperimentReport(
-        spec=spec,
-        trials=n_rows,
-        successes=successes,
+        seed=seed,
+        generator=generator,
         rates={
-            "success": Fraction(successes, n_rows),
             "acyclic": Fraction(int(acyclic.sum()), n_rows),
             "enough_edges": Fraction(int(big_enough.sum()), n_rows),
         },
-        failure_witnesses=_witnesses(words, order, fail_rows, reason),
-        deviations=_deviation_lines(constants),
-        notes=_mode_notes(mode, n_rows),
         extras={"edge_floor": floor},
     )
 
@@ -595,6 +584,73 @@ def _window_check(size: int, ell: int, what: str) -> None:
         raise ValueError(
             f"{what} size {size} outside the sampling window [{ell}, 1.01*{ell}]"
         )
+
+
+def _unique_survival(
+    g: Graph, family: str, target_edges, space: SampleSpace,
+    mode: str, trials, seed: int, budget, generator,
+) -> ExperimentReport:
+    """Rate at which the chosen cut or cycle is fully kept and no other
+    member of its family is.
+
+    With the target kept, its cut is the only whole one exactly when the
+    dropped edges leave one more component than g has, and its cycle is the
+    only one exactly when the kept subgraph has cycle rank 1.
+    """
+    order = _check_space_matches(g, space)
+    target = frozenset(target_edges)
+    if family == "cut":
+        members = [eids for eids, _, _ in g.enumerate_cuts()]
+    else:
+        members = g.enumerate_cycles()
+    if target not in members:
+        raise ValueError(f"the chosen edge set is not a {family} of the graph")
+    ell = min(len(eids) for eids in members)
+    _window_check(len(target), ell, family)
+
+    words = _support_words(space, mode, trials, seed, budget)
+    n_rows = words.shape[0]
+    m = len(order)
+    pos = {eid: j for j, eid in enumerate(order)}
+    kept_target = _rows_all_set(words, [pos[e] for e in sorted(target)])
+    rows = words[kept_target]
+    if family == "cut":
+        alone = g.component_counts(~rows) == g.component_count() + 1
+    else:
+        alone = _row_popcounts(rows, m) - g.n + g.component_counts(rows) == 1
+    ok = np.zeros(n_rows, dtype=bool)
+    ok[kept_target] = alone
+
+    def reason(i: int, vec: int) -> str:
+        if not kept_target[i]:
+            return f"chosen {family} lost an edge"
+        rival = _first_kept((s for s in members if s != target), pos, vec)
+        return f"rival {family} {sorted(rival)} also survived"
+
+    log_m = max(1, math.ceil(math.log2(max(m, 2))))
+    if family == "cut":
+        k_full, scale, defect, size_key = 2 * math.ceil(1.01 * ell), 10, 0, "min_cut_size"
+    else:
+        k_full, scale, defect, size_key = 2 * ell, 200, Fraction(1, max(m, 2) ** 500), "girth"
+    return _report(
+        g, words, order, ok, reason,
+        theorem=f"chosen {family} survives alone",
+        constants=(
+            _const("independence_order", k_full, space.params.k),
+            _const("marginal_exponent", math.ceil(scale * log_m / ell), space.params.p_log_inv),
+            _const("independence_defect", defect, space.params.delta),
+        ),
+        descriptor=space.descriptor(),
+        mode=mode,
+        seed=seed,
+        generator=generator,
+        rates={"target_survives": Fraction(int(kept_target.sum()), n_rows)},
+        extras={
+            size_key: ell,
+            "target_size": len(target),
+            f"{family}_count": len(members),
+        },
+    )
 
 
 def unique_cut_survival_experiment(
@@ -613,78 +669,10 @@ def unique_cut_survival_experiment(
 
     The chosen edge set must be one of the graph's cut edge sets, with size
     inside the window [l, 1.01 l] for l the smallest cut cardinality.  Cut
-    enumeration is the checking oracle, so the graph must be small enough
+    enumeration validates the target, so the graph must be small enough
     for it.
     """
-    order = _check_space_matches(g, space)
-    target = frozenset(cut_edges)
-    cuts = g.enumerate_cuts()
-    all_sets = [eids for eids, _, _ in cuts]
-    if target not in all_sets:
-        raise ValueError("the chosen edge set is not a cut of the graph")
-    ell = min(len(eids) for eids in all_sets)
-    _window_check(len(target), ell, "cut")
-
-    words = _support_words(space, mode, trials, seed, budget)
-    n_rows = words.shape[0]
-    kept_target = _rows_all_set(words, [order.index(e) for e in sorted(target)])
-    ok = kept_target.copy()
-    alive_others = []
-    for eids in all_sets:
-        if eids == target:
-            continue
-        alive = _rows_all_set(words, [order.index(e) for e in sorted(eids)])
-        alive_others.append((eids, alive))
-        ok &= ~alive
-
-    successes = int(ok.sum())
-    fail_rows = np.nonzero(~ok)[0]
-
-    def reason(i: int) -> str:
-        if not kept_target[i]:
-            return "chosen cut lost an edge"
-        for eids, alive in alive_others:
-            if alive[i]:
-                return f"rival cut {sorted(eids)} also survived"
-        return "unreachable"
-
-    m = len(order)
-    log_m = max(1, math.ceil(math.log2(max(m, 2))))
-    constants = (
-        _const("independence_order", 2 * math.ceil(1.01 * ell), space.params.k),
-        _const(
-            "marginal_exponent",
-            math.ceil(10 * log_m / ell),
-            space.params.p_log_inv,
-        ),
-        _const("independence_defect", 0, space.params.delta),
-    )
-    spec = ExperimentSpec(
-        generator=generator or f"custom(n={g.n},m={g.m})",
-        theorem="chosen cut survives alone",
-        constants=constants,
-        space=space.descriptor(),
-        mode=mode,
-        trials=None if mode == "enumerate" else n_rows,
-        seed=None if mode == "enumerate" else seed,
-    )
-    return ExperimentReport(
-        spec=spec,
-        trials=n_rows,
-        successes=successes,
-        rates={
-            "success": Fraction(successes, n_rows),
-            "target_survives": Fraction(int(kept_target.sum()), n_rows),
-        },
-        failure_witnesses=_witnesses(words, order, fail_rows, reason),
-        deviations=_deviation_lines(constants),
-        notes=_mode_notes(mode, n_rows),
-        extras={
-            "min_cut_size": ell,
-            "target_size": len(target),
-            "cut_count": len(all_sets),
-        },
-    )
+    return _unique_survival(g, "cut", cut_edges, space, mode, trials, seed, budget, generator)
 
 
 def unique_cycle_survival_experiment(
@@ -699,70 +687,7 @@ def unique_cycle_survival_experiment(
     generator: str | None = None,
 ) -> ExperimentReport:
     """Rate at which the chosen cycle is fully kept and no other cycle is."""
-    order = _check_space_matches(g, space)
-    target = frozenset(cycle_edges)
-    cycles = g.enumerate_cycles()
-    if target not in cycles:
-        raise ValueError("the chosen edge set is not a cycle of the graph")
-    ell = g.girth()
-    _window_check(len(target), ell, "cycle")
-
-    words = _support_words(space, mode, trials, seed, budget)
-    n_rows = words.shape[0]
-    kept_target = _rows_all_set(words, [order.index(e) for e in sorted(target)])
-    ok = kept_target.copy()
-    alive_others = []
-    for cyc in cycles:
-        if cyc == target:
-            continue
-        alive = _rows_all_set(words, [order.index(e) for e in sorted(cyc)])
-        alive_others.append((cyc, alive))
-        ok &= ~alive
-
-    successes = int(ok.sum())
-    fail_rows = np.nonzero(~ok)[0]
-
-    def reason(i: int) -> str:
-        if not kept_target[i]:
-            return "chosen cycle lost an edge"
-        for cyc, alive in alive_others:
-            if alive[i]:
-                return f"rival cycle {sorted(cyc)} also survived"
-        return "unreachable"
-
-    m = len(order)
-    log_m = max(1, math.ceil(math.log2(max(m, 2))))
-    constants = (
-        _const("independence_order", 2 * ell, space.params.k),
-        _const("marginal_exponent", math.ceil(200 * log_m / ell), space.params.p_log_inv),
-        _const("independence_defect", Fraction(1, max(m, 2) ** 500), space.params.delta),
-    )
-    spec = ExperimentSpec(
-        generator=generator or f"custom(n={g.n},m={g.m})",
-        theorem="chosen cycle survives alone",
-        constants=constants,
-        space=space.descriptor(),
-        mode=mode,
-        trials=None if mode == "enumerate" else n_rows,
-        seed=None if mode == "enumerate" else seed,
-    )
-    return ExperimentReport(
-        spec=spec,
-        trials=n_rows,
-        successes=successes,
-        rates={
-            "success": Fraction(successes, n_rows),
-            "target_survives": Fraction(int(kept_target.sum()), n_rows),
-        },
-        failure_witnesses=_witnesses(words, order, fail_rows, reason),
-        deviations=_deviation_lines(constants),
-        notes=_mode_notes(mode, n_rows),
-        extras={
-            "girth": ell,
-            "target_size": len(target),
-            "cycle_count": len(cycles),
-        },
-    )
+    return _unique_survival(g, "cycle", cycle_edges, space, mode, trials, seed, budget, generator)
 
 
 # -- sparsification pipeline ----------------------------------------------------
@@ -798,8 +723,14 @@ def _heterogeneous_space(levels: Sequence[int], k: int):
     return group_heterogeneous(underlying, list(levels), k, Fraction(0))
 
 
-def _constant_space_descriptor(m: int) -> dict:
-    return {"construction": "constant_ones", "n": m, "seed_bits": 0}
+def _rate_space_words(space, m: int, k: int, mode: str, trials, seed, budget):
+    """(words, descriptor, independence order) of a rate space; None, the
+    all-rates-one space, is the single all-ones row."""
+    if space is None:
+        descriptor = {"construction": "constant_ones", "n": m, "seed_bits": 0}
+        return _rows_to_words([(1 << m) - 1], m), descriptor, k
+    words = _support_words(space, mode, trials, seed, budget)
+    return words, space.descriptor(), space.params.k
 
 
 def sparsify_experiment(
@@ -839,16 +770,7 @@ def sparsify_experiment(
         rounded[eid] = Fraction(1, 1 << lv)
 
     space = _heterogeneous_space(levels, k)
-    if space is None:
-        words = _rows_to_words([(1 << m) - 1], m)
-        descriptor = _constant_space_descriptor(m)
-        marginals = tuple(Fraction(1) for _ in order)
-        space_k = k
-    else:
-        words = _support_words(space, mode, trials, seed, budget)
-        descriptor = space.descriptor()
-        marginals = space.coordinate_marginals()
-        space_k = space.params.k
+    words, descriptor, space_k = _rate_space_words(space, m, k, mode, trials, seed, budget)
     n_rows = words.shape[0]
 
     checker = edge_form_checker(g, epsilon)
@@ -857,10 +779,7 @@ def sparsify_experiment(
     weight_rows = _bit_matrix(words, m) * wtilde[None, :]
     ok, lo, hi = checker.batch_verdicts(weight_rows)
 
-    successes = int(ok.sum())
-    fail_rows = np.nonzero(~ok)[0]
-
-    def reason(i: int) -> str:
+    def reason(i: int, vec: int) -> str:
         return (
             f"quadratic form ratio [{lo[i]:.4f}, {hi[i]:.4f}] outside 1+-{epsilon}"
         )
@@ -868,36 +787,23 @@ def sparsify_experiment(
     hist: dict[str, int] = {}
     for c in kept_counts.tolist():
         hist[str(int(c))] = hist.get(str(int(c)), 0) + 1
-    expected_kept = sum(marginals, Fraction(0))
-    mean_kept = Fraction(int(kept_counts.sum()), n_rows)
+    marginals = [Fraction(1)] * m if space is None else space.coordinate_marginals()
 
-    constants = (
-        _const("oversample_scale", 1.0, rate_scale),
-        _const("independence_order", max(2, 2 * math.ceil(math.log2(max(g.n, 2)))), space_k),
-    )
-    deviations = _deviation_lines(constants) + tuple(plan.flags)
-    spec = ExperimentSpec(
-        generator=generator or f"custom(n={g.n},m={g.m})",
+    return _report(
+        g, words, order, ok, reason,
         theorem="reweighted sample approximates the quadratic form",
-        constants=constants,
-        space=descriptor,
+        constants=(
+            _const("oversample_scale", 1.0, rate_scale),
+            _const("independence_order", max(2, 2 * math.ceil(math.log2(max(g.n, 2)))), space_k),
+        ),
+        descriptor=descriptor,
         mode=mode,
-        trials=None if mode == "enumerate" else n_rows,
-        seed=None if mode == "enumerate" else seed,
-    )
-    return ExperimentReport(
-        spec=spec,
-        trials=n_rows,
-        successes=successes,
+        seed=seed,
+        generator=generator,
         rates={
-            "success": Fraction(successes, n_rows),
-            "mean_kept_edges": mean_kept,
-            "expected_kept_edges": expected_kept,
+            "mean_kept_edges": Fraction(int(kept_counts.sum()), n_rows),
+            "expected_kept_edges": sum(marginals, Fraction(0)),
         },
-        failure_witnesses=_witnesses(words, order, fail_rows, reason),
-        deviations=deviations,
-        notes=_mode_notes(mode, n_rows)
-        + ("per-edge rates rounded down to dyadic marginals",),
         extras={
             "oversample_factor": repr(plan.s),
             "epsilon": repr(epsilon),
@@ -907,6 +813,8 @@ def sparsify_experiment(
             "rates_rounded": {str(e): _rat(rounded[e]) for e in order},
             "kept_histogram": hist,
         },
+        deviations=tuple(plan.flags),
+        notes=("per-edge rates rounded down to dyadic marginals",),
     )
 
 
@@ -945,78 +853,27 @@ def reweight_then_connectivity(
 
     order = g.edge_ids()
     m = len(order)
-    levels = []
-    for eid in order:
-        levels.append(_dyadic_floor(Fraction(plan.rates[eid]), max_level))
+    levels = [_dyadic_floor(Fraction(plan.rates[eid]), max_level) for eid in order]
     space = _heterogeneous_space(levels, k)
-
-    if space is None:
-        words = _rows_to_words([(1 << m) - 1], m)
-        descriptor = _constant_space_descriptor(m)
-        floor = Fraction(1)
-        space_k = k
-    else:
-        words = _support_words(space, mode, trials, seed, budget)
-        descriptor = space.descriptor()
-        floor = (
-            union_bound_component_floor(g, space) if g.n <= 20 else Fraction(0)
-        )
-        space_k = space.params.k
-    n_rows = words.shape[0]
-
+    words, descriptor, space_k = _rate_space_words(space, m, k, mode, trials, seed, budget)
     cuts = g.enumerate_cuts() if g.n <= 20 else None
-    if cuts is not None:
-        ok = np.ones(n_rows, dtype=bool)
-        dead_by_cut = []
-        for eids, _, _ in cuts:
-            dead = _rows_none_set(words, [order.index(e) for e in sorted(eids)])
-            dead_by_cut.append((eids, dead))
-            ok &= ~dead
-
-        def reason(i: int) -> str:
-            for eids, dead in dead_by_cut:
-                if dead[i]:
-                    return f"cut {sorted(eids)} fully dropped"
-            return "unreachable"
-
+    if space is None:
+        floor = Fraction(1)
     else:
-        base = g.components()
-        flags = []
-        for i in range(n_rows):
-            kept = _kept_ids(_row_to_int(words, i), order)
-            flags.append(g.keep_edges(kept).components() == base)
-        ok = np.array(flags, dtype=bool)
-
-        def reason(i: int) -> str:
-            return "component partition changed"
-
-    successes = int(ok.sum())
-    fail_rows = np.nonzero(~ok)[0]
-    constants = (
-        _const("oversample_scale", 1.0, rate_scale),
-        _const("independence_order", 2 * max(1, math.ceil(math.log2(max(m, 2)))), space_k),
-    )
-    deviations = _deviation_lines(constants) + tuple(plan.flags)
-    spec = ExperimentSpec(
-        generator=generator or f"custom(n={g.n},m={g.m})",
+        floor = Fraction(0) if cuts is None else _union_bound_floor(cuts, order, space)
+    ok, reason = _components_kept(g, words, order, cuts)
+    return _report(
+        g, words, order, ok, reason,
         theorem="weighted rates keep the graph in one piece",
-        constants=constants,
-        space=descriptor,
+        constants=(
+            _const("oversample_scale", 1.0, rate_scale),
+            _const("independence_order", 2 * max(1, math.ceil(math.log2(max(m, 2)))), space_k),
+        ),
+        descriptor=descriptor,
         mode=mode,
-        trials=None if mode == "enumerate" else n_rows,
-        seed=None if mode == "enumerate" else seed,
-    )
-    return ExperimentReport(
-        spec=spec,
-        trials=n_rows,
-        successes=successes,
-        rates={
-            "success": Fraction(successes, n_rows),
-            "union_bound_floor": floor,
-        },
-        failure_witnesses=_witnesses(words, order, fail_rows, reason),
-        deviations=deviations,
-        notes=_mode_notes(mode, n_rows),
+        seed=seed,
+        generator=generator,
+        rates={"union_bound_floor": floor},
         extras={
             "weighting_levels": weighting.level_count,
             "weighting_delta": weighting.delta_param,
@@ -1024,6 +881,7 @@ def reweight_then_connectivity(
             "oversample_factor": repr(plan.s),
             "marginal_levels": {str(e): lv for e, lv in zip(order, levels)},
         },
+        deviations=tuple(plan.flags),
     )
 
 

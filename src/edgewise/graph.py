@@ -22,6 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
+_WORD = 64
+_CHUNK = 1 << 15  # rows per label-propagation block
+
 
 class UnionFind:
     def __init__(self, n: int):
@@ -159,6 +164,52 @@ class Graph:
 
     def component_count(self) -> int:
         return self.union_find().count
+
+    def component_counts(self, words) -> np.ndarray:
+        """Component count of the kept subgraph, one per row of a word matrix.
+
+        words is a (rows, ceil(m/64)) uint64 matrix; bit j of a row (word
+        j // 64, bit j % 64) keeps edge edge_ids()[j], and bits at or beyond
+        m are ignored.  All rows run at once by min-label propagation: each
+        vertex starts with its own label and every kept edge lowers both
+        endpoints to the smaller one.  A dropped edge is an all-ones mask, so
+        each update is min(lab[u], lab[v] | drop).  Sweeps alternate
+        direction until no label changes; a component then has exactly one
+        vertex still holding its own label.
+        """
+        words = np.asarray(words, dtype=np.uint64)
+        if words.ndim != 2 or words.shape[1] * _WORD < self.m:
+            raise ValueError(f"need a (rows, {-(-self.m // _WORD)}) word matrix")
+        rows = words.shape[0]
+        ends = [(u, v) for _, u, v, _ in self.edges()]
+        dtype = np.min_scalar_type(max(self.n - 1, 0))
+        ids = np.arange(self.n, dtype=dtype)[:, None]
+        out = np.empty(rows, dtype=np.int64)
+        for lo in range(0, rows, _CHUNK):
+            block = words[lo : lo + _CHUNK].astype("<u8")
+            size = block.shape[0]
+            octets = np.ascontiguousarray(block.view(np.uint8).T)  # row i: bits 8i..8i+7
+            drop = np.empty((self.m, size), dtype=dtype)
+            for j in range(self.m):
+                np.bitwise_and(octets[j >> 3] >> (j & 7), 1, out=drop[j])
+            drop -= 1  # kept: 0, dropped: all ones
+            lab = np.repeat(ids, size, axis=1)
+            tmp = np.empty(size, dtype=dtype)
+            total = -1
+            order = list(enumerate(ends))
+            while True:
+                for j, (u, v) in order:
+                    np.bitwise_or(lab[u], drop[j], out=tmp)
+                    np.minimum(lab[v], tmp, out=lab[v])
+                    np.bitwise_or(lab[v], drop[j], out=tmp)
+                    np.minimum(lab[u], tmp, out=lab[u])
+                now = int(lab.sum(dtype=np.int64))
+                if now == total:
+                    break
+                total = now
+                order.reverse()
+            out[lo : lo + _CHUNK] = (lab == ids).sum(axis=0)
+        return out
 
     def is_connected(self) -> bool:
         return self.n <= 1 or self.component_count() == 1

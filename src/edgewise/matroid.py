@@ -4,7 +4,10 @@ Two matroid kinds share the oracle interface: independent means forest
 (graphic) or removal-preserves-components (cographic).  A session tracks a
 symbolic minor (contracted set T, deleted set D) and answers queries against
 it through the identity Ind(S in minor) = Ind(S union T in the full matroid),
-so no graph surgery happens per query.
+so no graph surgery happens per query.  Every answer comes from one
+batched component count: S union T is graphic-independent when it has
+n - c edges for c the components it leaves, and cographic-independent
+when removing it leaves as many components as the graph has.
 
 Parallel rounds are simulated sequentially: a round is opened, queries are
 issued (their answers withheld until the round closes), and the ledger
@@ -16,7 +19,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .graph import Graph, UnionFind
+from .samplespace import _rows_to_words
 
 GRAPHIC = "graphic"
 COGRAPHIC = "cographic"
@@ -120,8 +126,8 @@ class OracleSession:
         self.contracted: set[int] = set()
         self.deleted: set[int] = set()
         self.ledger = QueryLedger()
-        # graphic fast path: union-find with the contracted edges pre-merged
-        self._base_uf: UnionFind | None = None
+        self._bit = {eid: 1 << j for j, eid in enumerate(g.edge_ids())}
+        self._components = g.component_count()
 
     # -- element bookkeeping ------------------------------------------------
 
@@ -139,21 +145,18 @@ class OracleSession:
                 raise ValueError(f"element {eid} is not in the current minor")
         return S
 
-    def _ind_with_contracted(self, S: set[int]) -> bool:
+    def _answers(self, batches: list[set[int]]) -> list[bool]:
+        """Ind(S union T) in the full matroid for every S, in one kernel call."""
+        g = self.graph
+        bit = self._bit.__getitem__
+        base = sum(map(bit, self.contracted))
+        words = _rows_to_words([sum(map(bit, S)) | base for S in batches], g.m)
         if self.kind == GRAPHIC:
-            if self._base_uf is None:
-                uf = UnionFind(self.graph.n)
-                for eid in self.contracted:
-                    u, v, _ = self.graph.edge(eid)
-                    uf.union(u, v)
-                self._base_uf = uf
-            uf = self._base_uf.copy()
-            for eid in S:
-                u, v, _ = self.graph.edge(eid)
-                if not uf.union(u, v):
-                    return False
-            return True
-        return ind_cographic(self.graph, S | self.contracted)
+            sizes = np.array([len(S) + len(self.contracted) for S in batches], dtype=np.int64)
+            ok = sizes == g.n - g.component_counts(words)
+        else:
+            ok = g.component_counts(~words) == self._components
+        return ok.tolist()
 
     # -- the oracle ---------------------------------------------------------
 
@@ -164,7 +167,7 @@ class OracleSession:
         if implicit:
             self.ledger.begin_round("adhoc")
         self.ledger.add_query()
-        answer = self._ind_with_contracted(S)
+        answer = self._answers([S])[0]
         if implicit:
             self.ledger.end_round()
         return answer
@@ -179,10 +182,9 @@ class OracleSession:
         """One parallel round: all queries are fixed before any answer."""
         batches = [self._check_elements(S) for S in queries]
         self.ledger.begin_round(label)
-        answers = []
-        for S in batches:
+        for _ in batches:
             self.ledger.add_query()
-            answers.append(self._ind_with_contracted(S))
+        answers = self._answers(batches)
         self.ledger.end_round()
         return answers
 
@@ -191,10 +193,9 @@ class OracleSession:
     def contract(self, S):
         """Move S into the contracted set; S union T must stay independent."""
         S = self._check_elements(S)
-        if not self._ind_with_contracted(S):
+        if not self._answers([S])[0]:
             raise ValueError("cannot contract a dependent set")
         self.contracted |= S
-        self._base_uf = None
 
     def delete(self, S):
         S = self._check_elements(S)

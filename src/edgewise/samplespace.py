@@ -94,11 +94,11 @@ def _words(n_positions: int) -> int:
 
 def _rows_to_words(rows: list[int], n_positions: int) -> np.ndarray:
     w = _words(n_positions)
-    out = np.zeros((len(rows), w), dtype=np.uint64)
+    out = np.empty((len(rows), w), dtype=np.uint64)
     mask = (1 << _WORD) - 1
-    for i, row in enumerate(rows):
-        for j in range(w):
-            out[i, j] = (row >> (j * _WORD)) & mask
+    for j in range(w):
+        column = ((row >> (j * _WORD)) & mask for row in rows)
+        out[:, j] = np.fromiter(column, dtype=np.uint64, count=len(rows))
     return out
 
 
@@ -420,11 +420,6 @@ def exact_builder(n: int, k: int, delta) -> PolynomialSpace:
 def almost_builder(n: int, k: int, delta) -> SmallBiasSpace:
     """Adapter for with_marginal over the small-bias construction."""
     return build_almost_kwise(n, k, delta)
-
-
-def enumerate_support(space: SampleSpace, budget: int | None = None):
-    """Deterministic stream of all support vectors (ints), seed order."""
-    return space.iter_support(budget)
 
 
 @dataclass

@@ -153,7 +153,7 @@ def test_connectivity_floor_never_exceeds_rate():
 
 
 def test_connectivity_slow_path_matches_direct_recount():
-    # n > 20 forces the per-vector component comparison
+    # n > 20: no cut listing, so the rate is checked against a direct recount
     g = gen_graph("cycle", {"length": 22})
     space = build_almost_kwise(g.m, 3, Fraction(1, 8))
     r = connectivity_experiment(g, space, mode="sample", trials=200, seed=3)
@@ -202,6 +202,25 @@ def test_five_cycle_acyclic_and_joint_rates_exact():
     # edge floor is ceil(5/10) = 1, so only the empty row also misses it
     assert r.success_rate == Fraction(15, 16)
     assert r.extras["edge_floor"] == 1
+
+
+def test_cyclefree_beyond_cycle_listing_matches_forest_recount():
+    # m > 40: acyclicity comes from component counts alone, and witnesses
+    # say a cycle survived without naming it
+    g = gen_graph("expander_like", {"vertices": 24, "degree": 4}, seed=5)
+    assert g.m > 40
+    space = build_almost_kwise(g.m, 4, Fraction(1, 8))
+    r = cyclefree_experiment(g, space, mode="sample", trials=200, seed=2)
+    order = g.edge_ids()
+    forests = 0
+    for row in space.sample_vectors(200, seed=2):
+        forests += g.keep_edges([order[i] for i in range(g.m) if (row >> i) & 1]).is_forest()
+    assert r.rates["acyclic"] == Fraction(forests, 200)
+    assert forests < 200
+    assert any(w["reason"] == "a cycle survived" for w in r.failure_witnesses)
+    for w in r.failure_witnesses:
+        if w["reason"] == "a cycle survived":
+            assert not g.keep_edges(w["kept"]).is_forest()
 
 
 def test_theta_joint_rate_positive():
@@ -286,6 +305,63 @@ def test_unique_cycle_theta_positive():
         g, seven, build_almost_kwise(g.m, 4, Fraction(1, 16))
     )
     assert r.success_rate > 0
+
+
+def brute_unique_rate(g, members, target):
+    """Share of the full cube keeping the target and no other member whole."""
+    order = g.edge_ids()
+    hits = 0
+    for bits in range(1 << g.m):
+        kept = {order[i] for i in range(g.m) if (bits >> i) & 1}
+        if target <= kept and not any(s <= kept for s in members if s != target):
+            hits += 1
+    return Fraction(hits, 1 << g.m)
+
+
+def check_rival_witnesses(report, family, members, target):
+    """Each rival a witness names is another member, kept whole in its row."""
+    rivals = 0
+    for w in report.failure_witnesses:
+        if w["reason"].startswith("rival"):
+            rival = json.loads(w["reason"].split(f"rival {family} ")[1].split(" also")[0])
+            assert frozenset(rival) in members and frozenset(rival) != target
+            assert set(rival) <= set(w["kept"])
+            rivals += 1
+    assert rivals
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+        gen_graph("multi_cycle", {"length": 3, "copies": 2}),
+    ],
+    ids=["two_triangles", "multi_cycle(3,2)"],
+)
+def test_unique_cut_matches_brute_force_on_every_window_target(g):
+    cuts = [eids for eids, _, _ in g.enumerate_cuts()]
+    ell = min(len(c) for c in cuts)
+    targets = [c for c in cuts if 100 * len(c) <= 101 * ell]
+    assert targets
+    for target in targets:
+        r = unique_cut_survival_experiment(g, target, full_space(g.m))
+        assert r.success_rate == brute_unique_rate(g, cuts, target)
+        assert r.extras["cut_count"] == len(cuts)
+        check_rival_witnesses(r, "cut", cuts, target)
+
+
+def test_unique_cycle_two_cycles_match_brute_force():
+    # six parallel edges: every pair is a 2-cycle, and a third kept edge
+    # always closes a rival
+    g = gen_graph("multi_cycle", {"length": 2, "copies": 3})
+    cycles = g.enumerate_cycles()
+    assert len(cycles) == 15 and {len(c) for c in cycles} == {2}
+    for target in cycles:
+        r = unique_cycle_survival_experiment(g, target, full_space(g.m))
+        assert r.success_rate == brute_unique_rate(g, cycles, target) == Fraction(1, 64)
+        assert r.rates["target_survives"] == Fraction(1, 4)
+        assert r.extras["girth"] == 2
+        check_rival_witnesses(r, "cycle", cycles, target)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ exhaustive reference implementations."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from edgewise.graph import (
@@ -129,6 +130,56 @@ def test_enumerate_cuts_covers_all_edge_sets():
 def test_enumerate_cuts_respects_cap():
     with pytest.raises(ValueError):
         complete_graph(6).enumerate_cuts(max_vertices=5)
+
+
+def random_words(g, rows, seed):
+    """Seeded word rows, random tail bits included; and the row ints."""
+    rng = random.Random(seed)
+    width = max(1, -(-g.m // 64))
+    ints = [rng.getrandbits(64 * width) for _ in range(rows)]
+    words = np.array(
+        [[(x >> (64 * j)) & (2**64 - 1) for j in range(width)] for x in ints],
+        dtype=np.uint64,
+    ).reshape(rows, width)
+    return words, ints
+
+
+def per_row_counts(g, ints):
+    order = g.edge_ids()
+    return [
+        g.keep_edges([e for j, e in enumerate(order) if (x >> j) & 1]).component_count()
+        for x in ints
+    ]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # isolated vertex 6, two components besides it, parallel edges
+        Graph(7, [(0, 1), (1, 2), (2, 0), (0, 1), (3, 4), (4, 5), (4, 5)]),
+        # m > 64: two words, bits past m must be ignored
+        Graph(70, [(i, (i + 1) % 70) for i in range(70)] + [(0, 35), (10, 60), (20, 21)]),
+        # n = 256 fills the smallest label type, n > 256 needs the next one
+        Graph(256, [(i, (i + 1) % 256) for i in range(0, 256, 2)] + [(255, 0), (3, 200)]),
+        Graph(300, [(i, i + 1) for i in range(299)] + [(0, 299), (17, 280), (5, 5)]),
+    ],
+)
+def test_component_counts_match_per_row_union_find(g):
+    words, ints = random_words(g, 64, seed=g.m)
+    got = g.component_counts(words)
+    assert got.tolist() == per_row_counts(g, ints)
+    full = np.full((1, words.shape[1]), 2**64 - 1, dtype=np.uint64)
+    assert g.component_counts(full).tolist() == [g.component_count()]
+    assert g.component_counts(np.zeros_like(full)).tolist() == [g.n]
+
+
+def test_component_counts_edge_cases():
+    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    assert g.component_counts(np.zeros((0, 1), dtype=np.uint64)).shape == (0,)
+    assert Graph(3).component_counts(np.zeros((2, 0), dtype=np.uint64)).tolist() == [3, 3]
+    assert Graph(0).component_counts(np.zeros((1, 0), dtype=np.uint64)).tolist() == [0]
+    with pytest.raises(ValueError):
+        g.component_counts(np.zeros((2, 0), dtype=np.uint64))
 
 
 def test_girth_known_values():

@@ -269,6 +269,27 @@ def test_session_query_is_minor_independence(kind, seed):
             assert s.query(set(combo)) == expect
 
 
+@pytest.mark.parametrize("kind", [GRAPHIC, COGRAPHIC])
+def test_session_round_answers_match_union_find_past_one_word(kind):
+    # m > 64 spreads a query over two words; the batched answers must agree
+    # with the union-find references, with contracted edges riding along
+    rng = random.Random(9)
+    g = Graph(40, [(rng.randrange(40), rng.randrange(40)) for _ in range(90)])
+    assert g.m > 64
+    base = ind_graphic if kind == GRAPHIC else ind_cographic
+    s = OracleSession(g, kind)
+    for eid in g.edge_ids()[:30]:
+        if base(g, s.contracted | {eid}):
+            s.contract({eid})
+    assert s.contracted
+    ids = s.elements()
+    queries = [set(rng.sample(ids, rng.randint(0, 12))) for _ in range(300)]
+    answers = s.run_round("mixed", queries)
+    assert answers == [base(g, q | s.contracted) for q in queries]
+    assert True in answers and False in answers
+    assert s.ledger.rounds[-1] == ("mixed", 300)
+
+
 # -- rank and minor oracles ----------------------------------------------------
 
 
