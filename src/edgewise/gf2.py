@@ -3,11 +3,15 @@
 Polynomials over F2 are encoded as Python ints, bit i holding the coefficient
 of t^i.  Field elements of GF(2^a) are polynomials of degree < a reduced by a
 fixed irreducible modulus, so every element is an int in [0, 2^a).
+``GF2Field.mul_array`` and ``GF2Field.low_bit_planes`` do the same arithmetic
+elementwise over uint64 arrays, for tables over a whole field at once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 
 def poly_degree(p: int) -> int:
@@ -103,23 +107,46 @@ class GF2Field:
     def mul(self, x: int, y: int) -> int:
         return poly_mulmod(x, y, self.modulus)
 
-    def pow(self, x: int, e: int) -> int:
-        out = 1
-        base = x
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
+    def mul_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Elementwise product of uint64 arrays of reduced field elements."""
+        if self.degree > 31:
+            raise ValueError("mul_array needs degree <= 31 (products fit in 64 bits)")
+        x = np.asarray(x, dtype=np.uint64)
+        y = np.asarray(y, dtype=np.uint64)
+        one = np.uint64(1)
+        prod = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.uint64)
+        for j in range(self.degree):
+            prod ^= ((y >> np.uint64(j)) & one) * (x << np.uint64(j))
+        modulus = np.uint64(self.modulus)
+        for d in range(2 * self.degree - 2, self.degree - 1, -1):
+            shift = np.uint64(d - self.degree)
+            prod ^= ((prod >> np.uint64(d)) & one) * (modulus << shift)
+        return prod
+
+    def power_table(self, xs: np.ndarray, count: int) -> np.ndarray:
+        """(count, len(xs)) uint64 array whose row i holds x^i for each x."""
+        xs = np.asarray(xs, dtype=np.uint64)
+        out = np.empty((count, xs.shape[0]), dtype=np.uint64)
+        out[0] = 1
+        for i in range(1, count):
+            out[i] = self.mul_array(out[i - 1], xs)
         return out
 
-    def powers(self, x: int, count: int) -> list[int]:
-        """[x^0, x^1, ..., x^(count-1)], reduced."""
-        out = [1]
-        cur = 1
-        for _ in range(count - 1):
-            cur = self.mul(cur, x)
-            out.append(cur)
+    def low_bit_planes(self, values: np.ndarray) -> np.ndarray:
+        """(degree,) + values.shape uint8: plane b holds the low bit of t^b * v.
+
+        For a fixed element v, y -> low bit of v * y is linear in y; plane b is
+        its coefficient on bit b of y.
+        """
+        cur = np.array(values, dtype=np.uint64)
+        one = np.uint64(1)
+        top = np.uint64(self.degree)
+        modulus = np.uint64(self.modulus)
+        out = np.empty((self.degree,) + cur.shape, dtype=np.uint8)
+        for b in range(self.degree):
+            out[b] = cur & one
+            cur <<= one
+            cur ^= ((cur >> top) & one) * modulus
         return out
 
 

@@ -20,7 +20,6 @@ import json
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -572,60 +571,3 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def brute_force_min_cut(g: Graph) -> MinCut:
-    """Reference minimum cut by exhausting bipartitions (small graphs only)."""
-    if g.n < 2:
-        raise ValueError("min cut needs at least 2 vertices")
-    if g.n > 20:
-        raise ValueError("brute force capped at 20 vertices")
-    best: tuple[Fraction, tuple] | None = None
-    verts = list(range(g.n))
-    for bits in range(1 << (g.n - 1)):
-        side = {verts[0]}
-        for i in range(1, g.n):
-            if (bits >> (i - 1)) & 1:
-                side.add(verts[i])
-        if len(side) == g.n:
-            continue
-        value = g.cut_weight(side)
-        cand = (value, g._canon_side(side))
-        if best is None or cand < best:
-            best = cand
-    value, side_t = best
-    side = frozenset(side_t)
-    return MinCut(value=value, side=side, edge_ids=g.crossing_edges(side))
-
-
-def is_simple_cycle(g: Graph, eids) -> bool:
-    """True when the edge subset forms one connected, all-degree-2 subgraph."""
-    eids = set(eids)
-    if len(eids) < 2:
-        return False
-    deg: dict[int, int] = defaultdict(int)
-    for eid in eids:
-        u, v, _ = g.edge(eid)
-        deg[u] += 1
-        deg[v] += 1
-    if any(d != 2 for d in deg.values()):
-        return False
-    touched = sorted(deg)
-    sub, vmap = g.induced_subgraph(touched)
-    sub = sub.keep_edges(eids & set(sub.edge_ids()))
-    if sub.m != len(eids):
-        return False
-    return sub.is_connected()
-
-
-def brute_force_cycles(g: Graph, max_edges: int = 14):
-    """All simple cycles by subset exhaustion (tiny graphs only)."""
-    if g.m > max_edges:
-        raise ValueError(f"subset exhaustion capped at {max_edges} edges")
-    ids = g.edge_ids()
-    out = []
-    for size in range(2, g.m + 1):
-        for sub in combinations(ids, size):
-            if is_simple_cycle(g, sub):
-                out.append(frozenset(sub))
-    return sorted(out, key=lambda c: (len(c), tuple(sorted(c))))

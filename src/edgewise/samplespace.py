@@ -24,6 +24,15 @@ Three constructions:
 All spaces are uniform over seeds in {0,1}^seed_bits, so every support vector
 has probability a multiple of 2^-seed_bits and enumerating seeds enumerates
 the distribution.
+
+``verify_independence`` measures the exact TV distance without enumerating.
+Both base constructions are GF(2)-linear in the seed (the small-bias one on
+each block of seeds with a fixed x), so the parity of any set of coordinates
+is constant 0 or balanced on a block.  The parity biases follow from one XOR
+of precomputed columns per block (x^i for every x in GF(2^a), or the seed-bit
+vectors of the polynomial space), and the pattern counts over a subset from a
+Walsh-Hadamard transform of the biases (the Vazirani XOR lemma).  Grouped
+spaces push their underlying counts forward through the AND.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -102,12 +111,24 @@ def _rows_to_words(rows: list[int], n_positions: int) -> np.ndarray:
     return out
 
 
-def _span_words(row_words: np.ndarray) -> np.ndarray:
-    """All subset-XORs of the given rows, ordered by the subset bitmask."""
-    w = row_words.shape[1] if row_words.ndim == 2 else 1
-    out = np.zeros((1, w), dtype=np.uint64)
-    for row in row_words:
-        out = np.concatenate([out, out ^ row])
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Pack 0/1 bytes along the last axis into little-endian uint64 words."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    out = np.zeros(packed.shape[:-1] + (_words(bits.shape[-1]) * 8,), dtype=np.uint8)
+    out[..., : packed.shape[-1]] = packed
+    return out.view("<u8").astype(np.uint64, copy=False)
+
+
+def _span_into(out: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Fill out[..., s, :] with the XOR of rows[..., b, :] over the bits b of s.
+
+    out has shape (..., 2^r, w) and rows (..., r, w); the span is built by
+    doubling in place, so no block is allocated beyond out itself.
+    """
+    out[..., 0, :] = 0
+    for b in range(rows.shape[-2]):
+        h = 1 << b
+        np.bitwise_xor(out[..., :h, :], rows[..., b : b + 1, :], out=out[..., h : 2 * h, :])
     return out
 
 
@@ -120,6 +141,7 @@ class SampleSpace:
         self.params = params
         self.seed_bits = seed_bits
         self._support: np.ndarray | None = None
+        self._table: tuple[np.ndarray, int] | None = None
 
     # subclasses fill these in
     def vector(self, seed: int) -> int:
@@ -128,15 +150,39 @@ class SampleSpace:
     def _support_words(self) -> np.ndarray:
         raise NotImplementedError
 
+    def _parity_table(self) -> tuple[np.ndarray, int]:
+        """Columns of a space that is GF(2)-linear on blocks of seeds.
+
+        Returns (table, block): table has shape (n, blocks, width) and the
+        seeds split into `blocks` blocks of `block` seeds each.  On a block,
+        the parity of the bits in T is 0 for every seed when the XOR of the
+        columns table[i, block] over i in T is all zero, and is balanced
+        otherwise.
+        """
+        raise NotImplementedError
+
+    def _pattern_counts(self, subsets: np.ndarray) -> np.ndarray:
+        """Exact support counts of every pattern over each row of subsets.
+
+        subsets is a (rows, s) array of coordinates; the result has shape
+        (rows, 2^s) and bit b of a pattern is coordinate subsets[:, b].
+        """
+        if self._table is None:
+            self._table = self._parity_table()
+        return _linear_counts(*self._table, subsets)
+
     @property
     def support_size(self) -> int:
         return 1 << self.seed_bits
 
-    def support_words(self, budget: int | None = None) -> np.ndarray:
-        """Support as a (2^seed_bits, ceil(n/64)) uint64 array, seed order."""
+    def _check_budget(self, budget: int | None) -> None:
         limit = DEFAULT_ENUM_BUDGET if budget is None else budget
         if self.support_size > limit:
             raise SupportTooLargeError(self.seed_bits, limit)
+
+    def support_words(self, budget: int | None = None) -> np.ndarray:
+        """Support as a (2^seed_bits, ceil(n/64)) uint64 array, seed order."""
+        self._check_budget(budget)
         if self._support is None:
             self._support = self._support_words()
         return self._support
@@ -191,25 +237,19 @@ class PolynomialSpace(SampleSpace):
         super().__init__(params, seed_bits=k * self.field_bits)
         self._rows: list[int] | None = None
 
-    def _gen_rows(self) -> list[int]:
-        # Row for seed bit (coeff j, coeff-bit b): output i gets the low bit
+    def _gen_bits(self) -> np.ndarray:
+        # Row for seed bit t = j * field_bits + b: output i gets the low bit
         # of t^b * x_i^j, where x_i is the field element encoded as i.
-        if self._rows is not None:
-            return self._rows
         f = field(self.field_bits)
         n, k = self.params.n, self.params.k
-        pts = [f.powers(x, k) for x in range(n)]
-        rows = []
-        for j in range(k):
-            for b in range(self.field_bits):
-                row = 0
-                e_b = 1 << b
-                for i in range(n):
-                    if f.mul(e_b, pts[i][j]) & 1:
-                        row |= 1 << i
-                rows.append(row)
-        self._rows = rows
-        return rows
+        planes = f.low_bit_planes(f.power_table(np.arange(n), k))  # (b, j, i)
+        return planes.transpose(1, 0, 2).reshape(self.seed_bits, n)
+
+    def _gen_rows(self) -> list[int]:
+        if self._rows is None:
+            packed = np.packbits(self._gen_bits(), axis=1, bitorder="little")
+            self._rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        return self._rows
 
     def vector(self, seed: int) -> int:
         out = 0
@@ -219,7 +259,14 @@ class PolynomialSpace(SampleSpace):
         return out
 
     def _support_words(self) -> np.ndarray:
-        return _span_words(_rows_to_words(self._gen_rows(), self.params.n))
+        rows = _pack_words(self._gen_bits())
+        out = np.empty((self.support_size, rows.shape[1]), dtype=np.uint64)
+        return _span_into(out, rows)
+
+    def _parity_table(self) -> tuple[np.ndarray, int]:
+        # one block of all seeds; column i packs coordinate i's seed bits
+        cols = np.packbits(self._gen_bits().T, axis=1)
+        return cols[:, None, :], self.support_size
 
 
 class SmallBiasSpace(SampleSpace):
@@ -260,28 +307,27 @@ class SmallBiasSpace(SampleSpace):
             state = f.mul(state, x)
         return out
 
-    def _y_rows(self, x: int) -> list[int]:
-        # row for y-bit b: output i gets the low bit of x^i * t^b,
-        # i.e. the low bit of (x^i << b) reduced by the field modulus
+    def _powers(self) -> np.ndarray:
+        # (n, 2^a): x^i for every field element x
         f = field(self.half_bits)
-        n = self.params.n
-        pw = f.powers(x, n)
-        rows = []
-        for b in range(self.half_bits):
-            row = 0
-            for i in range(n):
-                if f.mul(pw[i], 1 << b) & 1:
-                    row |= 1 << i
-            rows.append(row)
-        return rows
+        return f.power_table(np.arange(1 << self.half_bits), self.params.n)
 
     def _support_words(self) -> np.ndarray:
+        # seed (x, y) sits at row x * 2^a + y; for each x the a "y-rows"
+        # (bit i of y-row b = low bit of x^i * t^b) span the block of x
         a = self.half_bits
-        blocks = []
-        for x in range(1 << a):
-            rows = _rows_to_words(self._y_rows(x), self.params.n)
-            blocks.append(_span_words(rows))
-        return np.concatenate(blocks)
+        planes = field(a).low_bit_planes(self._powers())  # (b, i, x)
+        rows = _pack_words(planes.transpose(2, 0, 1))  # (x, b, words)
+        out = np.empty((1 << a, 1 << a, rows.shape[2]), dtype=np.uint64)
+        _span_into(out, rows)
+        return out.reshape(self.support_size, rows.shape[2])
+
+    def _parity_table(self) -> tuple[np.ndarray, int]:
+        # for fixed x, the parity over T is the low bit of (sum_T x^i) * y:
+        # identically 0 in y when the sum is 0, balanced otherwise
+        a = self.half_bits
+        cols = self._powers().astype(np.min_scalar_type((1 << a) - 1))
+        return cols[:, :, None], 1 << a
 
 
 class GroupedSpace(SampleSpace):
@@ -330,6 +376,40 @@ class GroupedSpace(SampleSpace):
             w, off = divmod(i, _WORD)
             out[:, w] |= bit << np.uint64(off)
         return out
+
+    def _pattern_counts(self, subsets: np.ndarray) -> np.ndarray:
+        # Count the underlying patterns over the concatenated groups, then
+        # push each one forward through the AND (and the complement).  Rows
+        # are batched by the sizes of their groups, which fix the push-forward.
+        rows, s = subsets.shape
+        out = np.zeros((rows, 1 << s), dtype=_exact_dtype(self.seed_bits + 1))
+        sizes = np.array([len(g) for g in self.groups], dtype=np.intp)[subsets]
+        shapes, which = np.unique(sizes, axis=0, return_inverse=True)
+        for shape_id, shape in enumerate(shapes):
+            picked = np.flatnonzero(which.reshape(-1) == shape_id)
+            width = int(shape.sum())
+            positions = np.array(
+                [[p for i in subsets[r] for p in self.groups[i]] for r in picked],
+                dtype=np.intp,
+            ).reshape(len(picked), width)
+            base = self.underlying._pattern_counts(positions)
+            image = self._push_forward(shape)
+            for z in range(1 << s):
+                out[picked, z] = base[:, image == z].sum(axis=1)
+        return out
+
+    def _push_forward(self, shape: np.ndarray) -> np.ndarray:
+        """Output pattern of each underlying pattern over groups of these sizes."""
+        u = np.arange(1 << int(shape.sum()))
+        z = np.zeros_like(u)
+        offset = 0
+        for b, size in enumerate(shape.tolist()):
+            full = ((1 << size) - 1) << offset
+            z |= ((u & full) == full).astype(u.dtype) << b
+            offset += size
+        if self.params.complemented:
+            z ^= (1 << len(shape)) - 1
+        return z
 
     def coordinate_marginals(self) -> tuple[Fraction, ...]:
         out = []
@@ -392,6 +472,8 @@ def group_heterogeneous(
     The caller is responsible for sizing the underlying independence order to
     cover any k output groups (k * max(L_i) suffices).
     """
+    if any(size < 0 for size in group_sizes):
+        raise ValueError("group sizes must be non-negative")
     total = sum(group_sizes)
     if underlying.params.n != total:
         raise ValueError("underlying space must have sum(group_sizes) positions")
@@ -429,24 +511,54 @@ class IndependenceReport:
     subsets_tested: int
 
 
-def _reference_probs(size: int, marginal: Fraction) -> list[Fraction]:
-    """Product-measure probabilities over {0,1}^size, pattern-indexed."""
-    out = []
-    p, q = marginal, 1 - marginal
-    for z in range(1 << size):
-        ones = z.bit_count()
-        out.append(p**ones * q ** (size - ones))
+# bytes of XOR work per batch of subsets in _linear_counts
+_BATCH_BYTES = 1 << 23
+# subsets per batch in verify_independence
+_SUBSET_BATCH = 4096
+
+
+def _exact_dtype(bits: int):
+    """int64 when every value stays below 2^bits < 2^62, else Python ints."""
+    return np.int64 if bits < 62 else object
+
+
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """In-place unnormalized Walsh-Hadamard transform along axis 1."""
+    rows, size = a.shape
+    h = 1
+    while h < size:
+        v = a.reshape(rows, size // (2 * h), 2, h)
+        low = v[:, :, 0].copy()
+        v[:, :, 0] += v[:, :, 1]
+        np.subtract(low, v[:, :, 1], out=v[:, :, 1])
+        h *= 2
+    return a
+
+
+def _linear_counts(table: np.ndarray, block: int, subsets: np.ndarray) -> np.ndarray:
+    """Pattern counts of a blockwise-linear space from parity biases.
+
+    For T a subset of the row's coordinates, F(T) = sum over seeds of
+    (-1)^(parity over T) = block * #{blocks where T's columns XOR to 0}.
+    The Vazirani XOR lemma gives count(z) = 2^-s * sum_T (-1)^|T & z| F(T),
+    one Walsh-Hadamard transform of F per row; every step is exact.
+    """
+    rows, s = subsets.shape
+    _, blocks, width = table.shape
+    dtype = _exact_dtype(s + (blocks * block).bit_length())
+    out = np.empty((rows, 1 << s), dtype=dtype)
+    step = max(1, _BATCH_BYTES // ((1 << s) * blocks * width * table.itemsize))
+    for lo in range(0, rows, step):
+        part = subsets[lo : lo + step]
+        xor = np.empty((part.shape[0], 1 << s, blocks, width), dtype=table.dtype)
+        xor[:, 0] = 0
+        for j in range(s):
+            h = 1 << j
+            np.bitwise_xor(xor[:, :h], table[part[:, j]][:, None], out=xor[:, h : 2 * h])
+        zero = (xor == 0).all(axis=3).sum(axis=2)
+        bias = zero.astype(dtype) * block
+        out[lo : lo + step] = _walsh_hadamard(bias) // (1 << s)
     return out
-
-
-def _project(words: np.ndarray, positions: tuple[int, ...]) -> np.ndarray:
-    proj = np.zeros(words.shape[0], dtype=np.int64)
-    for out_bit, p in enumerate(positions):
-        w, off = divmod(p, _WORD)
-        proj |= (((words[:, w] >> np.uint64(off)) & np.uint64(1)) << np.uint64(out_bit)).astype(
-            np.int64
-        )
-    return proj
 
 
 def _subset_iter(n: int, size: int, cap: int | None):
@@ -466,79 +578,61 @@ def verify_independence(
 ) -> IndependenceReport:
     """Exact TV distance to the product reference over coordinate subsets.
 
-    Counts patterns over the full enumerated support with integer arithmetic;
-    TV values are exact rationals.  Only subsets of size exactly min(k_check,
-    n) are tested: marginalizing both the space and the product reference can
-    only shrink TV, so the maximum over all subsets of size <= k_check is
-    attained at full size.  When the subset count exceeds subset_cap, a
-    deterministic stride-sample of subsets is tested instead.
+    The support is never built.  Both constructions are GF(2)-linear in the
+    seed (the small-bias one for each fixed x), so the parity of any set T
+    of coordinates is either constant 0 or balanced on each block of seeds,
+    and the exact pattern counts over a subset S follow from these parity
+    biases by one Walsh-Hadamard transform of size 2^|S| (the Vazirani XOR
+    lemma).  Grouped spaces push the counts of their underlying positions
+    forward through the AND.  Counts and TV values are exact: integers, and
+    TV as a rational.
+
+    Only subsets of size exactly min(k_check, n) are tested: marginalizing
+    both the space and the product reference can only shrink TV, so the
+    maximum over all subsets of size <= k_check is attained at full size.
+    When the subset count exceeds subset_cap, a deterministic stride-sample
+    of subsets is tested instead.  worst_subset is the first subset tested
+    that attains max_tv, and is empty when max_tv is 0.  budget bounds the
+    support size as for support_words, and SupportTooLargeError is raised
+    above it.
     """
     params = space.params
     k_eff = params.k if k_check is None else k_check
+    if k_eff < 1:
+        raise ValueError("k_check must be >= 1")
+    space._check_budget(budget)
     size = min(k_eff, params.n)
-    words = space.support_words(budget)
-    total = words.shape[0]
-    marginal = params.marginal
+    total = space.support_size
 
-    # Fold identical full-width patterns first when the pattern space is
-    # smaller than the support: subset projections then run over <= 2^n
-    # pattern weights instead of the raw support.
-    weights = None
-    if params.n <= 22 and (1 << params.n) < total:
-        full = _project(words, tuple(range(params.n)))
-        weights = np.bincount(full, minlength=1 << params.n).astype(np.int64)
-        patterns = np.arange(1 << params.n, dtype=np.int64)
-        cols = np.empty((params.n, patterns.shape[0]), dtype=np.uint8)
-        for p in range(params.n):
-            cols[p] = ((patterns >> p) & 1).astype(np.uint8)
-    else:
-        cols = np.empty((params.n, total), dtype=np.uint8)
-        one = np.uint64(1)
-        for p in range(params.n):
-            w, off = divmod(p, _WORD)
-            cols[p] = ((words[:, w] >> np.uint64(off)) & one).astype(np.uint8)
-
-    proj_dtype = np.uint8 if size <= 8 else np.int64
+    # Reference probabilities over a subset share the denominator den^size;
+    # scale is a multiple of it and of total, so 2 * scale * TV is an integer.
     marginals = space.coordinate_marginals()
-    homogeneous = len(set(marginals)) <= 1
-    if homogeneous:
-        ref = _reference_probs(size, marginal)
-        # all reference probs share the denominator marginal.denominator^size
-        ref_den = marginal.denominator**size
-        ref_num = np.asarray([int(r * ref_den) for r in ref], dtype=object)
+    den = lcm(*(m.denominator for m in marginals))
+    scale = lcm(total, den**size)
+    dtype = _exact_dtype(size + scale.bit_length())
+    ones = np.array([int(m * den) for m in marginals], dtype=dtype)
+    zeros = den - ones
 
-    max_tv = Fraction(0)
+    best = 0
     worst: tuple[int, ...] = ()
     tested = 0
     combos, _ = _subset_iter(params.n, size, subset_cap)
-    for subset in combos:
-        tested += 1
-        if not homogeneous:
-            ref_den = 1
-            for p in subset:
-                ref_den *= marginals[p].denominator
-            nums = []
-            for z in range(1 << size):
-                pr = Fraction(1)
-                for b, p in enumerate(subset):
-                    m = marginals[p]
-                    pr *= m if (z >> b) & 1 else 1 - m
-                nums.append(int(pr * ref_den))
-            ref_num = np.asarray(nums, dtype=object)
-        proj = cols[subset[0]].astype(proj_dtype)
-        for out_bit, p in enumerate(subset[1:], start=1):
-            proj |= cols[p].astype(proj_dtype) << out_bit
-        if weights is None:
-            counts = np.bincount(proj, minlength=1 << size).astype(np.int64)
-        else:
-            counts = np.bincount(proj, weights=weights, minlength=1 << size).astype(np.int64)
-        # TV = 1/2 * sum |counts/total - ref_num/ref_den|; all integer math
-        dev = abs(counts.astype(object) * ref_den - total * ref_num)
-        tv = Fraction(int(dev.sum()), 2 * total * ref_den)
-        if tv > max_tv:
-            max_tv = tv
-            worst = subset
-    return IndependenceReport(max_tv=max_tv, worst_subset=worst, subsets_tested=tested)
+    while batch := list(itertools.islice(combos, _SUBSET_BATCH)):
+        subsets = np.array(batch, dtype=np.intp).reshape(len(batch), size)
+        ref = np.full((len(batch), 1), scale // den**size, dtype=dtype)
+        for b in range(size):
+            col = subsets[:, b : b + 1]
+            ref = np.concatenate([ref * zeros[col], ref * ones[col]], axis=1)
+        counts = space._pattern_counts(subsets).astype(dtype)
+        dev = np.abs(counts * (scale // total) - ref).sum(axis=1)
+        i = int(np.argmax(dev))
+        if dev[i] > best:
+            best = int(dev[i])
+            worst = tuple(int(p) for p in subsets[i])
+        tested += len(batch)
+    return IndependenceReport(
+        max_tv=Fraction(best, 2 * scale), worst_subset=worst, subsets_tested=tested
+    )
 
 
 def space_from_descriptor(desc: dict) -> SampleSpace:

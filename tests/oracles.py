@@ -1,0 +1,123 @@
+"""Test-only reference oracles: exhaustive or enumerative, slow and simple.
+
+Each one computes what a library routine computes by a different method, so
+the tests can require the two to agree.
+"""
+
+from collections import defaultdict
+from fractions import Fraction
+from itertools import combinations, islice
+from math import comb
+
+import numpy as np
+
+from edgewise.graph import Graph, MinCut
+from edgewise.samplespace import IndependenceReport, SampleSpace
+
+_WORD = 64
+
+
+def enumerated_independence(
+    space: SampleSpace,
+    k_check: int | None = None,
+    subset_cap: int | None = None,
+    budget: int | None = None,
+) -> IndependenceReport:
+    """verify_independence by counting patterns over the enumerated support.
+
+    Subsets come in the same order (combinations, stride-sampled above
+    subset_cap), and worst_subset is the first one that attains max_tv.
+    """
+    params = space.params
+    k_eff = params.k if k_check is None else k_check
+    size = min(k_eff, params.n)
+    words = space.support_words(budget)
+    total = words.shape[0]
+    cols = np.empty((params.n, total), dtype=np.int64)
+    for p in range(params.n):
+        w, off = divmod(p, _WORD)
+        cols[p] = ((words[:, w] >> np.uint64(off)) & np.uint64(1)).astype(np.int64)
+    marginals = space.coordinate_marginals()
+
+    combos = combinations(range(params.n), size)
+    n_subsets = comb(params.n, size)
+    if subset_cap is not None and n_subsets > subset_cap:
+        combos = islice(combos, 0, None, -(-n_subsets // subset_cap))
+
+    max_tv = Fraction(0)
+    worst: tuple[int, ...] = ()
+    tested = 0
+    for subset in combos:
+        tested += 1
+        proj = np.zeros(total, dtype=np.int64)
+        for b, p in enumerate(subset):
+            proj |= cols[p] << b
+        counts = np.bincount(proj, minlength=1 << size)
+        tv = Fraction(0)
+        for z in range(1 << size):
+            ref = Fraction(1)
+            for b, p in enumerate(subset):
+                ref *= marginals[p] if (z >> b) & 1 else 1 - marginals[p]
+            tv += abs(Fraction(int(counts[z]), total) - ref)
+        tv /= 2
+        if tv > max_tv:
+            max_tv = tv
+            worst = subset
+    return IndependenceReport(max_tv=max_tv, worst_subset=worst, subsets_tested=tested)
+
+
+def brute_force_min_cut(g: Graph) -> MinCut:
+    """Reference minimum cut by exhausting bipartitions (small graphs only)."""
+    if g.n < 2:
+        raise ValueError("min cut needs at least 2 vertices")
+    if g.n > 20:
+        raise ValueError("brute force capped at 20 vertices")
+    best: tuple[Fraction, tuple] | None = None
+    verts = list(range(g.n))
+    for bits in range(1 << (g.n - 1)):
+        side = {verts[0]}
+        for i in range(1, g.n):
+            if (bits >> (i - 1)) & 1:
+                side.add(verts[i])
+        if len(side) == g.n:
+            continue
+        value = g.cut_weight(side)
+        cand = (value, g._canon_side(side))
+        if best is None or cand < best:
+            best = cand
+    value, side_t = best
+    side = frozenset(side_t)
+    return MinCut(value=value, side=side, edge_ids=g.crossing_edges(side))
+
+
+def is_simple_cycle(g: Graph, eids) -> bool:
+    """True when the edge subset forms one connected, all-degree-2 subgraph."""
+    eids = set(eids)
+    if len(eids) < 2:
+        return False
+    deg: dict[int, int] = defaultdict(int)
+    for eid in eids:
+        u, v, _ = g.edge(eid)
+        deg[u] += 1
+        deg[v] += 1
+    if any(d != 2 for d in deg.values()):
+        return False
+    touched = sorted(deg)
+    sub, vmap = g.induced_subgraph(touched)
+    sub = sub.keep_edges(eids & set(sub.edge_ids()))
+    if sub.m != len(eids):
+        return False
+    return sub.is_connected()
+
+
+def brute_force_cycles(g: Graph, max_edges: int = 14):
+    """All simple cycles by subset exhaustion (tiny graphs only)."""
+    if g.m > max_edges:
+        raise ValueError(f"subset exhaustion capped at {max_edges} edges")
+    ids = g.edge_ids()
+    out = []
+    for size in range(2, g.m + 1):
+        for sub in combinations(ids, size):
+            if is_simple_cycle(g, sub):
+                out.append(frozenset(sub))
+    return sorted(out, key=lambda c: (len(c), tuple(sorted(c))))

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +197,36 @@ def test_verify_space_dump_matches_library(capsys):
     code, out, _ = run_main(capsys, "verify-space", "--n", "3", "--k", "2", "--dump")
     assert code == 0
     assert out == dump_support(build_kwise(3, 2))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["--n", "10", "--k", "3"], "verify_space_exact.json"),
+        (["--n", "12", "--k", "2", "--delta", "1/4"], "verify_space_small_bias.json"),
+    ],
+    ids=["exact", "small_bias"],
+)
+def test_verify_space_golden_json(capsys, argv, golden):
+    # bytes captured from the support-enumerating verifier: an exact space
+    # and a small-bias space with max_tv > 0 (the heterogeneous grouped pin
+    # is test_verify_heterogeneous_grouped_pinned in test_samplespace.py)
+    code, out, _ = run_main(capsys, "verify-space", *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_verify_space_budget_error_unchanged(capsys):
+    code, out, err = run_main(capsys, "verify-space", "--n", "16", "--k", "4", "--budget", "1024")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: support has 2^20 vectors; enumeration budget is 1024 "
+        "(needs a budget of at least 1048576)\n"
+    )
 
 
 def test_sample_mode_notes_and_seed(capsys):

@@ -1,15 +1,20 @@
 """Sample-space tests against brute-force counting oracles.
 
-The oracle here is collections.Counter over the enumerated support with exact
-Fraction arithmetic, independent of verify_independence.
+The oracles are collections.Counter over the enumerated support with exact
+Fraction arithmetic, and the support-enumerating verifier in oracles.py; both
+are independent of verify_independence, which never builds the support.
 """
 
+import hashlib
 import itertools
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from edgewise import samplespace
+from edgewise.gf2 import field
 from edgewise.samplespace import (
     SupportTooLargeError,
     almost_builder,
@@ -22,6 +27,7 @@ from edgewise.samplespace import (
     verify_independence,
     with_marginal,
 )
+from oracles import enumerated_independence
 
 
 def subset_counts(space, positions):
@@ -178,6 +184,12 @@ def test_heterogeneous_size_mismatch():
         group_heterogeneous(under, [2, 2], 2, Fraction(0))
 
 
+def test_heterogeneous_rejects_negative_group_size():
+    # [-1, 5] sums to the underlying n = 4 but would index position -1
+    with pytest.raises(ValueError, match="non-negative"):
+        group_heterogeneous(build_kwise(4, 2), [-1, 5], 2, Fraction(0))
+
+
 def test_budget_rejected_at_build_for_almost():
     with pytest.raises(SupportTooLargeError) as ei:
         build_almost_kwise(32, 3, Fraction(1, 16), budget=1 << 10)
@@ -243,3 +255,180 @@ def test_param_validation():
         with_marginal(exact_builder, 4, 2, Fraction(0), 0)
     with pytest.raises(ValueError):
         exact_builder(4, 2, Fraction(1, 8))
+
+
+# -- the parity-bias verifier against the support-enumerating oracle ----------
+
+HALF, QUARTER, EIGHTH = Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)
+
+DIFFERENTIAL_CASES = {
+    # small-bias spaces, most with max_tv > 0
+    **{
+        f"almost(n={n},k={k},delta={d})": (build_almost_kwise(n, k, d), None, None)
+        for n in (2, 3, 5, 8, 11)
+        for k in (1, 2, 3)
+        for d in (HALF, EIGHTH)
+    },
+    "kwise(n=9,k=3)": (build_kwise(9, 3), None, None),
+    # k_check above k, and k_check = n
+    "almost(8,2) k_check=4": (build_almost_kwise(8, 2, QUARTER), 4, None),
+    "almost(6,2) k_check=n": (build_almost_kwise(6, 2, HALF), 6, None),
+    "kwise(5,2) k_check=n": (build_kwise(5, 2), 5, None),
+    # subset_cap striding
+    "almost(12,3) cap=37": (build_almost_kwise(12, 3, EIGHTH), None, 37),
+    "kwise(10,3) cap=50, k_check=4": (build_kwise(10, 3), 4, 50),
+    # n = 1
+    "kwise(1,1)": (build_kwise(1, 1), None, None),
+    "almost(1,1) k_check=3": (build_almost_kwise(1, 1, HALF), 3, None),
+    # complemented grouped spaces
+    "grouped almost comp": (
+        with_marginal(almost_builder, 4, 2, EIGHTH, 2, complemented=True), None, None
+    ),
+    "grouped exact comp k_check=3": (
+        with_marginal(exact_builder, 5, 1, Fraction(0), 2, complemented=True), 3, None
+    ),
+    # heterogeneous grouping with an empty group
+    "hetero exact": (group_heterogeneous(build_kwise(6, 6), [2, 0, 3, 1], 2, Fraction(0)), 3, None),
+    "hetero almost comp": (
+        group_heterogeneous(build_almost_kwise(7, 4, HALF), [2, 0, 3, 2], 2, HALF, True),
+        3,
+        None,
+    ),
+    # group_heterogeneous over a GroupedSpace
+    "hetero over grouped": (
+        group_heterogeneous(with_marginal(almost_builder, 6, 2, HALF, 2), [1, 0, 2, 3], 2, HALF),
+        4,
+        None,
+    ),
+}
+
+
+def _as_tuple(rep):
+    return rep.max_tv, rep.worst_subset, rep.subsets_tested
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+def test_verify_matches_enumeration_oracle(name):
+    space, k_check, cap = DIFFERENTIAL_CASES[name]
+    got = verify_independence(space, k_check=k_check, subset_cap=cap)
+    want = enumerated_independence(space, k_check=k_check, subset_cap=cap)
+    assert _as_tuple(got) == _as_tuple(want)
+    assert all(type(p) is int for p in got.worst_subset)
+
+
+def test_verify_heterogeneous_grouped_pinned():
+    # the CLI cannot express a heterogeneous grouping, so this pin sits at
+    # library level; values captured from the support-enumerating verifier
+    space = group_heterogeneous(build_almost_kwise(7, 4, HALF), [2, 0, 3, 2], 2, HALF, True)
+    rep = verify_independence(space)
+    assert _as_tuple(rep) == (Fraction(3, 128), (0, 3), 6)
+    assert rep.max_tv <= space.params.delta
+
+
+def test_differential_cases_cover_nonzero_tv():
+    # the cases above would prove little if every space measured zero
+    positive = [
+        name for name, (space, k_check, cap) in DIFFERENTIAL_CASES.items()
+        if verify_independence(space, k_check=k_check, subset_cap=cap).max_tv > 0
+    ]
+    assert "hetero almost comp" in positive
+    assert "grouped exact comp k_check=3" in positive
+    assert sum(name.startswith("almost(n=") for name in positive) >= 10
+
+
+def test_verify_python_int_path_matches_int64(monkeypatch):
+    spaces = [
+        (build_almost_kwise(9, 3, EIGHTH), None),
+        (group_heterogeneous(build_almost_kwise(7, 4, HALF), [2, 0, 3, 2], 2, HALF, True), 3),
+    ]
+    fast = [_as_tuple(verify_independence(sp, k_check=kc)) for sp, kc in spaces]
+    monkeypatch.setattr(samplespace, "_exact_dtype", lambda bits: object)
+    slow = [_as_tuple(verify_independence(sp, k_check=kc)) for sp, kc in spaces]
+    assert slow == fast
+
+
+def test_verify_seed_columns_wider_than_64_bits():
+    # 16-wise over 8 points in GF(2^4): 64 seed bits, far past any
+    # enumeration, so counts run in Python ints over 8-byte columns
+    space = build_kwise(8, 16)
+    assert space.seed_bits == 64
+    rep = verify_independence(space, k_check=3, budget=1 << 64)
+    assert _as_tuple(rep) == (Fraction(0), (), 56)
+    counts = space._pattern_counts(np.array([[0, 3, 7], [1, 2, 5]]))
+    assert counts.tolist() == [[1 << 61] * 8] * 2
+    grouped = group_heterogeneous(space, [2, 0, 3, 1, 2], 2, Fraction(0), complemented=True)
+    rep = verify_independence(grouped, k_check=3, budget=1 << 64)
+    assert _as_tuple(rep) == (Fraction(0), (), 10)
+
+
+def test_verify_respects_budget_without_building_the_support():
+    space = build_kwise(16, 4)
+    with pytest.raises(SupportTooLargeError) as ei:
+        verify_independence(space, budget=1 << 10)
+    assert ei.value.seed_bits == 20
+    rep = verify_independence(space, budget=1 << 20)
+    assert rep.max_tv == 0 and rep.subsets_tested == 1820
+    assert space._support is None
+
+
+def test_verify_rejects_nonpositive_k_check():
+    with pytest.raises(ValueError):
+        verify_independence(build_kwise(4, 2), k_check=0)
+
+
+# -- the vectorized support builder --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n,k,delta,a",
+    [(2, 1, Fraction(3, 4), 1), (3, 1, HALF, 2), (9, 2, QUARTER, 5), (65, 1, Fraction(99, 100), 7)],
+)
+def test_small_bias_support_rows_equal_vector(n, k, delta, a):
+    space = build_almost_kwise(n, k, delta)
+    assert space.half_bits == a
+    words = space.support_words()
+    assert words.shape == (1 << (2 * a), (n + 63) // 64)
+    rows = list(space.iter_support())
+    assert rows == [space.vector(seed) for seed in range(space.support_size)]
+
+
+@pytest.mark.parametrize(
+    "space,digest",
+    [
+        (
+            build_almost_kwise(32, 3, Fraction(1, 16)),
+            "4b5298f64ee2f52cbff207cba1d12842d0bb00d093a7be2ae34a00953b590477",
+        ),
+        (
+            build_almost_kwise(70, 2, QUARTER),
+            "53df79da5166584e1010d76480c86130adc5eaafe3d6b5f49aa581cf5da6b863",
+        ),
+        (
+            build_kwise(20, 3),
+            "7fe978e336436b9921a87ae953099a6880915a7876555943d8dbe3e0e0e0926d",
+        ),
+    ],
+    ids=["almost(32,3,1/16)", "almost(70,2,1/4)", "kwise(20,3)"],
+)
+def test_support_words_bytes_pinned(space, digest):
+    # digests of the support built by per-element field multiplications
+    words = space.support_words(1 << 20)
+    assert words.dtype == np.uint64 and words.flags.c_contiguous
+    assert hashlib.sha256(words.tobytes()).hexdigest() == digest
+
+
+def test_vectorized_field_arithmetic_matches_scalar():
+    for a in (1, 2, 3, 5, 8):
+        f = field(a)
+        xs = np.arange(1 << a)
+        table = f.power_table(xs, 7)
+        planes = f.low_bit_planes(table)
+        for y in range(0, 1 << a, 3):
+            assert f.mul_array(xs, y).tolist() == [f.mul(x, y) for x in range(1 << a)]
+        for x in range(1 << a):
+            powers = [1]
+            for _ in range(6):
+                powers.append(f.mul(powers[-1], x))
+            assert table[:, x].tolist() == powers
+            for b in range(a):
+                assert planes[b, :, x].tolist() == [f.mul(p, 1 << b) & 1 for p in powers]
