@@ -8,7 +8,8 @@ single round and contracts it.  Listing is done either by querying all small
 subsets outright or, for larger windows, by enumerating the support of a
 bounded-independence sample space and running single-circuit detection on
 every support vector.  Each subroutine batches its queries into one oracle
-round, so the round ledger directly measures the parallel complexity.
+round, a 0/1 query matrix built straight from the space's word rows, so the
+round ledger directly measures the parallel complexity.
 
 Full-strength thresholds make the supports astronomically large, so the
 constants are configuration: `Constants.paper()` records the full-strength
@@ -21,23 +22,29 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import ceil, comb, floor, log2
+
+import numpy as np
 
 from .matroid import COGRAPHIC, GRAPHIC, OracleSession, ind_cographic, ind_graphic
 from .samplespace import (
     DEFAULT_ENUM_BUDGET,
-    SampleSpace,
     SupportTooLargeError,
+    _unpack_words,
     almost_builder,
     build_almost_kwise,
     build_kwise,
     exact_builder,
+    mode_words,
     with_marginal,
 )
 
 MODE_ENUMERATE = "enumerate"
 MODE_SAMPLE = "sample"
+
+# round labels per matroid kind: (listing, harvest)
+_LABELS = {GRAPHIC: ("list-cycles", "flis-graphic"), COGRAPHIC: ("list-cuts", "flis-cographic")}
 
 
 class ClaimViolation(AssertionError):
@@ -109,6 +116,9 @@ class Constants:
     def cut_threshold(self, m: int) -> float:
         return max(1.0, self.cut_mult * log2(max(m, 2)))
 
+    def threshold(self, m: int, kind: str) -> float:
+        return self.girth_threshold(m) if kind == GRAPHIC else self.cut_threshold(m)
+
     def k_flis(self, m: int) -> int:
         return max(2, ceil(self.k_flis_mult * log2(max(m, 2))))
 
@@ -163,17 +173,26 @@ class CircuitList:
 # -- single-circuit detection --------------------------------------------------
 
 
-def _interpret_detection(elements: list[int], answers: list[bool]):
-    """Shared readout: answers = [Ind(E'), Ind(E'-e) for e in elements]."""
-    if answers[0]:
-        return None, "none"
-    circuit = frozenset(e for e, ok in zip(elements, answers[1:]) if ok)
-    if not circuit:
-        # every single removal stays dependent, so two or more circuits exist:
-        # an element of only one of them leaves the other intact, and a shared
-        # element leaves the circuit their elimination produces
-        return None, "multiple"
-    return circuit, "unique"
+def _detect(session: OracleSession, label: str, sel: np.ndarray):
+    """One detection round (see detect_single_circuit) per row of a selection.
+
+    sel is a 0/1 matrix over session.elements().  Row i contributes its whole
+    selection, then one copy per selected element with that element cleared.
+    Returns (dependent, circuits): circuits[i] marks the elements whose
+    removal makes dependent selection i independent.
+    """
+    vi, cj = np.nonzero(sel)
+    removal = np.arange(len(vi)) + vi + 1  # query index of each cleared copy
+    rows = sel[np.repeat(np.arange(sel.shape[0]), sel.sum(axis=1, dtype=np.int64) + 1)]
+    rows[removal, cj] = 0
+    answers = session.run_round(label, rows)
+    whole = np.ones(len(answers), dtype=bool)
+    whole[removal] = False
+    dependent = ~answers[whole]
+    hit = answers[removal] & dependent[vi]
+    circuits = np.zeros_like(sel)
+    circuits[vi[hit], cj[hit]] = 1
+    return dependent, circuits
 
 
 def detect_single_circuit(session: OracleSession, elements):
@@ -184,10 +203,16 @@ def detect_single_circuit(session: OracleSession, elements):
     elements whose removal makes the rest independent.  Returns
     (circuit, "unique"), or (None, "none" | "multiple").
     """
-    elems = sorted(elements)
-    queries = [set(elems)] + [set(elems) - {e} for e in elems]
-    answers = session.run_round("detect", queries)
-    return _interpret_detection(elems, answers)
+    dependent, circuits = _detect(session, "detect", session.query_rows([elements]))
+    if not dependent[0]:
+        return None, "none"
+    if not circuits[0].any():
+        # every single removal stays dependent, so two or more circuits exist:
+        # an element of only one of them leaves the other intact, and a shared
+        # element leaves the circuit their elimination produces
+        return None, "multiple"
+    elems = session.elements()
+    return frozenset(elems[j] for j in np.flatnonzero(circuits[0])), "unique"
 
 
 def delete_circuits(ground_order, elements, circuits):
@@ -214,29 +239,61 @@ def delete_circuits(ground_order, elements, circuits):
 # -- circuit listing -------------------------------------------------------------
 
 
-def _selected(elements: list[int], vector: int) -> set[int]:
-    return {e for i, e in enumerate(elements) if (vector >> i) & 1}
+def _lex_rank(combos: np.ndarray, n: int) -> np.ndarray:
+    """Index of each row of combos in itertools.combinations(range(n), s) order."""
+    s = combos.shape[1]
+    rank = np.full(len(combos), comb(n, s) - 1, dtype=np.int64)
+    for i in range(s):
+        table = np.array([comb(a, s - i) for a in range(n)], dtype=np.int64)
+        rank -= table[n - 1 - combos[:, i]]
+    return rank
 
 
-def _support_vectors(space: SampleSpace, mode: str, budget: int, sample_count: int, seed: int):
-    if mode == MODE_ENUMERATE:
-        return list(space.iter_support(budget))
-    if mode == MODE_SAMPLE:
-        return space.sample_vectors(sample_count, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+def _brute_circuits(session, label, elems, cap, window_hi, budget):
+    """Query every subset of up to cap elements; the circuits are the
+    dependent ones up to window_hi whose every one-smaller subset is
+    independent.  Returns (circuits, queries)."""
+    n = len(elems)
+    total = sum(comb(n, s) for s in range(1, cap + 1))
+    if total > budget:
+        raise SupportTooLargeError(max(total, 2).bit_length(), budget)
+    combos = [
+        np.fromiter(chain.from_iterable(combinations(range(n), s)), dtype=np.intp).reshape(-1, s)
+        for s in range(1, cap + 1)
+    ]
+    rows = np.zeros((total, n), dtype=np.uint8)
+    first = np.cumsum([0] + [len(c) for c in combos])
+    for c, lo in zip(combos, first):
+        rows[lo + np.arange(len(c))[:, None], c] = 1
+    answers = session.run_round(label, rows)
+    independent = [np.ones(1, dtype=bool)]  # the empty set
+    found = []
+    for s, c in enumerate(combos[:window_hi], start=1):
+        independent.append(answers[first[s - 1] : first[s]])
+        minimal = ~independent[s]
+        for b in range(s):
+            minimal &= independent[s - 1][_lex_rank(np.delete(c, b, axis=1), n)]
+        found.extend(frozenset(elems[j] for j in row) for row in c[minimal])
+    return found, total
 
 
-def _list_circuits(
+def list_circuits(
     session: OracleSession,
     ell: int,
     m: int,
-    constants: Constants,
-    threshold: float,
-    round_label: str,
-    mode: str,
-    sample_count: int,
-    seed: int,
+    constants: Constants | None = None,
+    mode: str = MODE_ENUMERATE,
+    sample_count: int = 1024,
+    seed: int = 0,
 ) -> CircuitList:
+    """All circuits of the current minor with size in [ell, floor(1.01 ell)].
+
+    Circuits are cycles for a graphic session and minimal fully-surviving
+    cuts for a cographic one; the threshold and round label follow the kind.
+    """
+    constants = constants or Constants.desk()
+    threshold = constants.threshold(m, session.kind)
+    label = _LABELS[session.kind][0]
     if ell < 1:
         raise PreconditionError("window start must be >= 1")
     if ell > threshold:
@@ -244,31 +301,16 @@ def _list_circuits(
             f"window start {ell} exceeds the sweep threshold {threshold:.2f}"
         )
     window_hi = floor(1.01 * ell)
-    elems = sorted(session.elements())
+    elems = session.elements()
 
     if ell <= constants.small_ell_cutoff:
         # brute regime: query every subset up to just past the window, then
         # read circuits off as the minimal dependent sets
         cap = min(ceil(1.01 * ell), len(elems))
-        total = sum(comb(len(elems), s) for s in range(1, cap + 1))
-        if total > constants.enum_budget:
-            raise SupportTooLargeError(max(total, 2).bit_length(), constants.enum_budget)
-        queries = []
-        for size in range(1, cap + 1):
-            queries.extend(set(c) for c in combinations(elems, size))
-        answers = session.run_round(round_label, queries)
-        independent = {
-            frozenset(q): ok for q, ok in zip(queries, answers)
-        }
-        independent[frozenset()] = True
-        found = []
-        for q, ok in independent.items():
-            if ok or not q or len(q) > window_hi:
-                continue
-            if all(independent[q - {e}] for e in q):
-                found.append(q)
-        found.sort(key=lambda c: (len(c), sorted(c)))
-        return CircuitList(tuple(found), (ell, window_hi), "brute", len(queries))
+        found, queries = _brute_circuits(
+            session, label, elems, cap, window_hi, constants.enum_budget
+        )
+        return CircuitList(tuple(found), (ell, window_hi), "brute", queries)
 
     # sampled regime: one round holding a full detection batch per support
     # vector of the window's bounded-independence space
@@ -278,83 +320,39 @@ def _list_circuits(
         space = with_marginal(almost_builder, len(elems), k, constants.list_delta(m), exp)
     else:
         space = with_marginal(exact_builder, len(elems), k, Fraction(0), exp)
-    vectors = _support_vectors(space, mode, constants.enum_budget, sample_count, seed)
-    queries = []
-    batches = []
-    for v in vectors:
-        sel = sorted(_selected(elems, v))
-        batches.append(sel)
-        queries.append(set(sel))
-        queries.extend(set(sel) - {e} for e in sel)
-    answers = session.run_round(round_label, queries)
-    found = []
-    seen = set()
-    pos = 0
-    for sel in batches:
-        take = len(sel) + 1
-        circuit, status = _interpret_detection(sel, answers[pos : pos + take])
-        pos += take
-        if status == "unique" and len(circuit) <= window_hi and circuit not in seen:
-            seen.add(circuit)
-            found.append(circuit)
-    list_mode = MODE_ENUMERATE if mode == MODE_ENUMERATE else MODE_SAMPLE
-    return CircuitList(tuple(found), (ell, window_hi), list_mode, len(queries))
-
-
-def list_short_cycles(
-    session: OracleSession,
-    ell: int,
-    m: int,
-    constants: Constants | None = None,
-    mode: str = MODE_ENUMERATE,
-    sample_count: int = 1024,
-    seed: int = 0,
-) -> CircuitList:
-    """All cycles of the current minor with size in [ell, floor(1.01 ell)]."""
-    if session.kind != GRAPHIC:
-        raise ValueError("cycle listing needs a graphic session")
-    constants = constants or Constants.desk()
-    return _list_circuits(
-        session, ell, m, constants, constants.girth_threshold(m),
-        "list-cycles", mode, sample_count, seed,
-    )
-
-
-def list_small_cuts(
-    session: OracleSession,
-    ell: int,
-    m: int,
-    constants: Constants | None = None,
-    mode: str = MODE_ENUMERATE,
-    sample_count: int = 1024,
-    seed: int = 0,
-) -> CircuitList:
-    """All minimal fully-surviving cuts with size in [ell, floor(1.01 ell)]."""
-    if session.kind != COGRAPHIC:
-        raise ValueError("cut listing needs a cographic session")
-    constants = constants or Constants.desk()
-    return _list_circuits(
-        session, ell, m, constants, constants.cut_threshold(m),
-        "list-cuts", mode, sample_count, seed,
-    )
+    words = mode_words(space, mode, constants.enum_budget, sample_count, seed)
+    sel = _unpack_words(words, len(elems))
+    _, circuits = _detect(session, label, sel)
+    size = circuits.sum(axis=1)
+    short = circuits[(size >= 1) & (size <= window_hi)]
+    distinct, first = np.unique(short, axis=0, return_index=True)
+    found = [
+        frozenset(elems[j] for j in np.flatnonzero(row)) for row in distinct[np.argsort(first)]
+    ]
+    return CircuitList(tuple(found), (ell, window_hi), mode, len(sel) + int(sel.sum()))
 
 
 # -- large independent sets ------------------------------------------------------
 
 
-def _find_large_independent_set(
+def find_large_independent_set(
     session: OracleSession,
-    m: int,
-    constants: Constants,
-    threshold: float,
-    round_label: str,
-    mode: str,
-    sample_count: int,
-    seed: int,
-    check_precondition: bool,
+    m: int | None = None,
+    constants: Constants | None = None,
+    mode: str = MODE_ENUMERATE,
+    sample_count: int = 1024,
+    seed: int = 0,
+    check_precondition: bool = True,
 ) -> set[int]:
-    elems = sorted(session.elements())
+    """One-round harvest of a large independent set from a minor with no
+    short circuit: a forest (graphic) or a co-independent set, whose
+    complement spans (cographic)."""
+    constants = constants or Constants.desk()
+    elems = session.elements()
+    if m is None:
+        m = len(elems)
     if check_precondition:
+        threshold = constants.threshold(m, session.kind)
         mc = session.min_circuit_size()
         if mc is not None and mc <= threshold:
             raise PreconditionError(
@@ -368,60 +366,16 @@ def _find_large_independent_set(
         )
     else:
         space = build_kwise(len(elems), k)
-    vectors = _support_vectors(space, mode, constants.enum_budget, sample_count, seed)
+    words = mode_words(space, mode, constants.enum_budget, sample_count, seed)
     # the whole element set rides along as query zero so an already
     # independent minor is taken in full
-    queries = [set(elems)] + [_selected(elems, v) for v in vectors]
-    answers = session.run_round(round_label, queries)
+    rows = np.vstack([np.ones((1, len(elems)), dtype=np.uint8), _unpack_words(words, len(elems))])
+    answers = session.run_round(_LABELS[session.kind][1], rows)
     if answers[0]:
         return set(elems)
-    best: set[int] = set()
-    for q, ok in zip(queries[1:], answers[1:]):
-        if ok and len(q) > len(best):
-            best = q
-    return best
-
-
-def find_large_independent_set_graphic(
-    session: OracleSession,
-    m: int | None = None,
-    constants: Constants | None = None,
-    mode: str = MODE_ENUMERATE,
-    sample_count: int = 1024,
-    seed: int = 0,
-    check_precondition: bool = True,
-) -> set[int]:
-    """One-round harvest of a large forest from a minor with no short cycle."""
-    if session.kind != GRAPHIC:
-        raise ValueError("needs a graphic session")
-    constants = constants or Constants.desk()
-    if m is None:
-        m = len(session.elements())
-    return _find_large_independent_set(
-        session, m, constants, constants.girth_threshold(m),
-        "flis-graphic", mode, sample_count, seed, check_precondition,
-    )
-
-
-def find_large_independent_set_cographic(
-    session: OracleSession,
-    m: int | None = None,
-    constants: Constants | None = None,
-    mode: str = MODE_ENUMERATE,
-    sample_count: int = 1024,
-    seed: int = 0,
-    check_precondition: bool = True,
-) -> set[int]:
-    """One-round harvest of a large co-independent set (complement spans)."""
-    if session.kind != COGRAPHIC:
-        raise ValueError("needs a cographic session")
-    constants = constants or Constants.desk()
-    if m is None:
-        m = len(session.elements())
-    return _find_large_independent_set(
-        session, m, constants, constants.cut_threshold(m),
-        "flis-cographic", mode, sample_count, seed, check_precondition,
-    )
+    sizes = np.where(answers, rows.sum(axis=1), 0)
+    best = int(np.argmax(sizes))
+    return {elems[j] for j in np.flatnonzero(rows[best])} if sizes[best] else set()
 
 
 # -- the driver --------------------------------------------------------------------
@@ -495,14 +449,7 @@ def find_basis(
     if m is None:
         m = len(session.elements())
     ground_order = sorted(session.elements())
-    if kind == GRAPHIC:
-        threshold = constants.girth_threshold(m)
-        lister = list_short_cycles
-        harvester = find_large_independent_set_graphic
-    else:
-        threshold = constants.cut_threshold(m)
-        lister = list_small_cuts
-        harvester = find_large_independent_set_cographic
+    threshold = constants.threshold(m, kind)
 
     trace: list[dict] = []
     outer = 0
@@ -511,7 +458,7 @@ def find_basis(
         sweep_steps = []
         ell = 1
         while ell <= threshold and session.elements():
-            clist = lister(
+            clist = list_circuits(
                 session, ell, m, constants,
                 mode=mode, sample_count=sample_count, seed=seed,
             )
@@ -537,7 +484,7 @@ def find_basis(
         if not session.elements():
             trace.append({"outer": outer, "sweep": sweep_steps, "harvested": 0})
             break
-        got = harvester(
+        got = find_large_independent_set(
             session, m, constants,
             mode=mode, sample_count=sample_count, seed=seed,
         )

@@ -30,9 +30,10 @@ from .reweight import reweight_min_cut
 from .samplespace import (
     DEFAULT_ENUM_BUDGET,
     SampleSpace,
-    _rows_to_words,
+    _pack_words,
     build_kwise,
     group_heterogeneous,
+    mode_words,
     verify_independence,
 )
 from .spectral import edge_form_checker, leverage_scores, sparsify_rates
@@ -152,24 +153,37 @@ def _gen_custom(params: Mapping, seed: int) -> Graph:
     return load_graph(str(path))
 
 
+# generator and the parameter keys it reads, per family
 _FAMILIES = {
-    "cycle": _gen_cycle,
-    "theta": _gen_theta,
-    "complete": _gen_complete,
-    "multi_cycle": _gen_multi_cycle,
-    "expander_like": _gen_expander_like,
-    "subdivided": _gen_subdivided,
-    "dumbbell": _gen_dumbbell,
-    "custom": _gen_custom,
+    "cycle": (_gen_cycle, ("length",)),
+    "theta": (_gen_theta, ("lengths",)),
+    "complete": (_gen_complete, ("vertices",)),
+    "multi_cycle": (_gen_multi_cycle, ("length", "copies")),
+    "expander_like": (_gen_expander_like, ("vertices", "degree")),
+    "subdivided": (_gen_subdivided, ("vertices", "pieces")),
+    "dumbbell": (_gen_dumbbell, ("left", "right")),
+    "custom": (_gen_custom, ("path",)),
 }
 
 
 def gen_graph(family: str, params: Mapping | None = None, *, seed: int = 0) -> Graph:
-    """Build a named instance; deterministic given (family, params, seed)."""
+    """Build a named instance; deterministic given (family, params, seed).
+
+    A parameter key the family does not read is an error; the seed is the
+    keyword, never a parameter key.
+    """
     if family not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
         raise ValueError(f"unknown family {family!r} (known: {known})")
-    return _FAMILIES[family](params or {}, seed)
+    gen, keys = _FAMILIES[family]
+    params = params or {}
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise ValueError(
+            f"family {family!r} does not read {', '.join(map(repr, unknown))} "
+            f"(allowed: {', '.join(keys)})"
+        )
+    return gen(params, seed)
 
 
 def instance_label(family: str, params: Mapping | None = None, seed: int = 0) -> str:
@@ -288,17 +302,6 @@ def _mode_notes(mode: str, trials: int) -> tuple[str, ...]:
 
 
 # -- vectorized support evaluation --------------------------------------------
-
-
-def _support_words(space: SampleSpace, mode: str, trials, seed, budget) -> np.ndarray:
-    if mode == "enumerate":
-        return space.support_words(DEFAULT_ENUM_BUDGET if budget is None else budget)
-    if mode == "sample":
-        if not trials or trials < 1:
-            raise ValueError("sample mode needs trials >= 1")
-        vecs = space.sample_vectors(trials, seed)
-        return _rows_to_words(vecs, space.params.n)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _masks(positions: Iterable[int], words: int) -> list[tuple[int, np.uint64]]:
@@ -499,7 +502,7 @@ def connectivity_experiment(
     names a fully dropped cut.
     """
     order = _check_space_matches(g, space)
-    words = _support_words(space, mode, trials, seed, budget)
+    words = mode_words(space, mode, budget, trials, seed)
     cuts = g.enumerate_cuts() if g.n <= 20 else None
     floor = Fraction(0) if cuts is None else _union_bound_floor(cuts, order, space)
     ok, reason = _components_kept(g, words, order, cuts)
@@ -540,7 +543,7 @@ def cyclefree_experiment(
     surviving cycle when the graph is small enough to list them.
     """
     order = _check_space_matches(g, space)
-    words = _support_words(space, mode, trials, seed, budget)
+    words = mode_words(space, mode, budget, trials, seed)
     n_rows = words.shape[0]
     m = len(order)
     pos = {eid: j for j, eid in enumerate(order)}
@@ -608,7 +611,7 @@ def _unique_survival(
     ell = min(len(eids) for eids in members)
     _window_check(len(target), ell, family)
 
-    words = _support_words(space, mode, trials, seed, budget)
+    words = mode_words(space, mode, budget, trials, seed)
     n_rows = words.shape[0]
     m = len(order)
     pos = {eid: j for j, eid in enumerate(order)}
@@ -728,8 +731,8 @@ def _rate_space_words(space, m: int, k: int, mode: str, trials, seed, budget):
     all-rates-one space, is the single all-ones row."""
     if space is None:
         descriptor = {"construction": "constant_ones", "n": m, "seed_bits": 0}
-        return _rows_to_words([(1 << m) - 1], m), descriptor, k
-    words = _support_words(space, mode, trials, seed, budget)
+        return _pack_words(np.ones((1, m), dtype=np.uint8)), descriptor, k
+    words = mode_words(space, mode, budget, trials, seed)
     return words, space.descriptor(), space.params.k
 
 

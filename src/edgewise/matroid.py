@@ -4,10 +4,12 @@ Two matroid kinds share the oracle interface: independent means forest
 (graphic) or removal-preserves-components (cographic).  A session tracks a
 symbolic minor (contracted set T, deleted set D) and answers queries against
 it through the identity Ind(S in minor) = Ind(S union T in the full matroid),
-so no graph surgery happens per query.  Every answer comes from one
-batched component count: S union T is graphic-independent when it has
-n - c edges for c the components it leaves, and cographic-independent
-when removing it leaves as many components as the graph has.
+so no graph surgery happens per query.  A batch of queries is a 0/1 matrix
+whose row i selects the elements() where it holds a 1; query_rows builds
+one from edge-id sets.  Every answer comes from one batched component
+count: S union T is graphic-independent when it has n - c edges for c the
+components it leaves, and cographic-independent when removing it leaves
+as many components as the graph has.
 
 Parallel rounds are simulated sequentially: a round is opened, queries are
 issued (their answers withheld until the round closes), and the ledger
@@ -22,7 +24,7 @@ import json
 import numpy as np
 
 from .graph import Graph, UnionFind
-from .samplespace import _rows_to_words
+from .samplespace import _pack_words
 
 GRAPHIC = "graphic"
 COGRAPHIC = "cographic"
@@ -126,7 +128,7 @@ class OracleSession:
         self.contracted: set[int] = set()
         self.deleted: set[int] = set()
         self.ledger = QueryLedger()
-        self._bit = {eid: 1 << j for j, eid in enumerate(g.edge_ids())}
+        self._col = {eid: j for j, eid in enumerate(g.edge_ids())}
         self._components = g.component_count()
 
     # -- element bookkeeping ------------------------------------------------
@@ -136,38 +138,42 @@ class OracleSession:
         gone = self.contracted | self.deleted
         return [e for e in self.graph.edge_ids() if e not in gone]
 
-    def _check_elements(self, S):
-        S = set(S)
-        for eid in S:
-            if not self.graph.has_edge(eid):
-                raise KeyError(f"unknown edge id {eid}")
-            if eid in self.contracted or eid in self.deleted:
-                raise ValueError(f"element {eid} is not in the current minor")
-        return S
+    def query_rows(self, sets) -> np.ndarray:
+        """0/1 query matrix over elements(), one row per edge-id set."""
+        col = {e: j for j, e in enumerate(self.elements())}
+        sets = list(sets)
+        rows = np.zeros((len(sets), len(col)), dtype=np.uint8)
+        for i, S in enumerate(sets):
+            for eid in S:
+                if eid not in col:
+                    if not self.graph.has_edge(eid):
+                        raise KeyError(f"unknown edge id {eid}")
+                    raise ValueError(f"element {eid} is not in the current minor")
+                rows[i, col[eid]] = 1
+        return rows
 
-    def _answers(self, batches: list[set[int]]) -> list[bool]:
-        """Ind(S union T) in the full matroid for every S, in one kernel call."""
+    def _answers(self, rows: np.ndarray) -> np.ndarray:
+        """Ind(S union T) in the full matroid for every row S, in one kernel call."""
         g = self.graph
-        bit = self._bit.__getitem__
-        base = sum(map(bit, self.contracted))
-        words = _rows_to_words([sum(map(bit, S)) | base for S in batches], g.m)
+        full = np.zeros((rows.shape[0], g.m), dtype=np.uint8)
+        full[:, [self._col[e] for e in self.elements()]] = rows
+        full[:, [self._col[e] for e in self.contracted]] = 1
+        words = _pack_words(full)
         if self.kind == GRAPHIC:
-            sizes = np.array([len(S) + len(self.contracted) for S in batches], dtype=np.int64)
-            ok = sizes == g.n - g.component_counts(words)
-        else:
-            ok = g.component_counts(~words) == self._components
-        return ok.tolist()
+            sizes = rows.sum(axis=1, dtype=np.int64) + len(self.contracted)
+            return sizes == g.n - g.component_counts(words)
+        return g.component_counts(~words) == self._components
 
     # -- the oracle ---------------------------------------------------------
 
     def query(self, S) -> bool:
         """Ind(S) in the current minor; billed to the open round."""
-        S = self._check_elements(S)
+        rows = self.query_rows([S])
         implicit = self.ledger._open is None
         if implicit:
             self.ledger.begin_round("adhoc")
         self.ledger.add_query()
-        answer = self._answers([S])[0]
+        answer = bool(self._answers(rows)[0])
         if implicit:
             self.ledger.end_round()
         return answer
@@ -178,13 +184,21 @@ class OracleSession:
     def end_round(self) -> tuple[str, int]:
         return self.ledger.end_round()
 
-    def run_round(self, label: str, queries) -> list[bool]:
-        """One parallel round: all queries are fixed before any answer."""
-        batches = [self._check_elements(S) for S in queries]
+    def run_round(self, label: str, rows) -> np.ndarray:
+        """One parallel round: all queries are fixed before any answer.
+
+        rows is a (queries, len(elements())) 0/1 matrix; the result is one
+        boolean answer per row.
+        """
+        rows = np.asarray(rows)
+        width = len(self.elements())
+        if rows.ndim != 2 or rows.shape[1] != width or not np.isin(rows, (0, 1)).all():
+            raise ValueError(f"need a (queries, {width}) 0/1 matrix over elements()")
+        rows = rows.astype(np.uint8, copy=False)
         self.ledger.begin_round(label)
-        for _ in batches:
+        for _ in range(rows.shape[0]):
             self.ledger.add_query()
-        answers = self._answers(batches)
+        answers = self._answers(rows)
         self.ledger.end_round()
         return answers
 
@@ -192,14 +206,13 @@ class OracleSession:
 
     def contract(self, S):
         """Move S into the contracted set; S union T must stay independent."""
-        S = self._check_elements(S)
-        if not self._answers([S])[0]:
+        if not self._answers(self.query_rows([S]))[0]:
             raise ValueError("cannot contract a dependent set")
-        self.contracted |= S
+        self.contracted |= set(S)
 
     def delete(self, S):
-        S = self._check_elements(S)
-        self.deleted |= S
+        self.query_rows([S])  # validates S
+        self.deleted |= set(S)
 
     # -- test oracles (no ledger) --------------------------------------------
 

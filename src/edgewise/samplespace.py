@@ -23,7 +23,13 @@ Three constructions:
 
 All spaces are uniform over seeds in {0,1}^seed_bits, so every support vector
 has probability a multiple of 2^-seed_bits and enumerating seeds enumerates
-the distribution.
+the distribution.  Support vectors are always word rows: uint64 arrays with
+bit j % 64 of word j // 64 holding coordinate j.  The two base constructions
+are GF(2)-linear on blocks of seeds: seed s lies in block s >> r, and its low
+r bits pick which of the block's r generator rows (``_generators``) to XOR.
+``support_words`` spans every block by XOR doubling; ``sample_words`` draws
+seeds and XORs the generator rows of the drawn ones, building rows only for
+the blocks it drew.  ``GroupedSpace`` ANDs groups of its underlying rows.
 
 ``verify_independence`` measures the exact TV distance without enumerating.
 Both base constructions are GF(2)-linear in the seed (the small-bias one on
@@ -101,16 +107,6 @@ def _words(n_positions: int) -> int:
     return (n_positions + _WORD - 1) // _WORD
 
 
-def _rows_to_words(rows: list[int], n_positions: int) -> np.ndarray:
-    w = _words(n_positions)
-    out = np.empty((len(rows), w), dtype=np.uint64)
-    mask = (1 << _WORD) - 1
-    for j in range(w):
-        column = ((row >> (j * _WORD)) & mask for row in rows)
-        out[:, j] = np.fromiter(column, dtype=np.uint64, count=len(rows))
-    return out
-
-
 def _pack_words(bits: np.ndarray) -> np.ndarray:
     """Pack 0/1 bytes along the last axis into little-endian uint64 words."""
     packed = np.packbits(bits, axis=-1, bitorder="little")
@@ -132,8 +128,18 @@ def _span_into(out: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unpack_words(words: np.ndarray, n_positions: int) -> np.ndarray:
+    """(rows, n_positions) 0/1 uint8 matrix of the leading coordinates of word rows."""
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, bitorder="little")[:, :n_positions]
+
+
 class SampleSpace:
-    """Common plumbing: seed enumeration, support caching, serialization."""
+    """Common plumbing: support and sample rows, budget, serialization.
+
+    A linear subclass sets _span_bits = r and supplies _generators: seed s
+    is the XOR of the generator rows of block s >> r picked by its low r bits.
+    """
 
     construction = "abstract"
 
@@ -144,10 +150,8 @@ class SampleSpace:
         self._table: tuple[np.ndarray, int] | None = None
 
     # subclasses fill these in
-    def vector(self, seed: int) -> int:
-        raise NotImplementedError
-
-    def _support_words(self) -> np.ndarray:
+    def _generators(self, blocks: np.ndarray) -> np.ndarray:
+        """(len(blocks), r, n) 0/1 uint8: row b of block x is the output of seed x * 2^r + 2^b."""
         raise NotImplementedError
 
     def _parity_table(self) -> tuple[np.ndarray, int]:
@@ -184,27 +188,37 @@ class SampleSpace:
         """Support as a (2^seed_bits, ceil(n/64)) uint64 array, seed order."""
         self._check_budget(budget)
         if self._support is None:
-            self._support = self._support_words()
+            self._support = self._build_support()
         return self._support
 
-    def iter_support(self, budget: int | None = None):
-        """Yield support vectors as ints (bit i = coordinate i), seed order."""
-        words = self.support_words(budget)
-        w = words.shape[1]
-        for row in words:
-            v = 0
-            for j in range(w - 1, -1, -1):
-                v = (v << _WORD) | int(row[j])
-            yield v
-
-    def sample_vectors(self, count: int, seed: int = 0) -> list[int]:
-        """Monte Carlo fallback: vectors for `count` independently drawn seeds.
+    def sample_words(self, count: int, seed: int = 0) -> np.ndarray:
+        """Monte Carlo fallback: word rows of `count` independently drawn seeds.
 
         Not derandomized; reports built from this path must say so.
         """
         rng = random.Random(seed)
         top = self.support_size
-        return [self.vector(rng.randrange(top)) for _ in range(count)]
+        return self._seed_words([rng.randrange(top) for _ in range(count)])
+
+    def _build_support(self) -> np.ndarray:
+        r = self._span_bits
+        rows = _pack_words(self._generators(np.arange(self.support_size >> r)))
+        out = np.empty((rows.shape[0], 1 << r, rows.shape[2]), dtype=np.uint64)
+        return _span_into(out, rows).reshape(self.support_size, rows.shape[2])
+
+    def _seed_words(self, seeds: list[int]) -> np.ndarray:
+        r = self._span_bits
+        highs = np.array([s >> r for s in seeds], dtype=np.int64)
+        blocks, which = np.unique(highs, return_inverse=True)
+        rows = _pack_words(self._generators(blocks))
+        size = -(-r // 8)
+        low = b"".join((s & ((1 << r) - 1)).to_bytes(size, "little") for s in seeds)
+        octets = np.frombuffer(low, dtype=np.uint8).reshape(len(seeds), size)
+        bits = np.unpackbits(octets, axis=1, bitorder="little")
+        out = np.zeros((len(seeds), rows.shape[2]), dtype=np.uint64)
+        for b in range(r):
+            out ^= rows[which, b] * bits[:, b : b + 1]
+        return out
 
     def coordinate_marginals(self) -> tuple[Fraction, ...]:
         """Nominal marginal of each output coordinate."""
@@ -235,38 +249,21 @@ class PolynomialSpace(SampleSpace):
         params = SpaceParams(n=n, k=k, delta=Fraction(0))
         self.field_bits = max(1, (n + 1 - 1).bit_length())  # ceil(log2(n+1))
         super().__init__(params, seed_bits=k * self.field_bits)
-        self._rows: list[int] | None = None
+        self._span_bits = self.seed_bits
 
-    def _gen_bits(self) -> np.ndarray:
-        # Row for seed bit t = j * field_bits + b: output i gets the low bit
-        # of t^b * x_i^j, where x_i is the field element encoded as i.
+    def _generators(self, blocks: np.ndarray) -> np.ndarray:
+        # One block.  Row for seed bit t = j * field_bits + b: output i gets
+        # the low bit of t^b * x_i^j, where x_i is the field element encoded as i.
         f = field(self.field_bits)
         n, k = self.params.n, self.params.k
         planes = f.low_bit_planes(f.power_table(np.arange(n), k))  # (b, j, i)
-        return planes.transpose(1, 0, 2).reshape(self.seed_bits, n)
-
-    def _gen_rows(self) -> list[int]:
-        if self._rows is None:
-            packed = np.packbits(self._gen_bits(), axis=1, bitorder="little")
-            self._rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        return self._rows
-
-    def vector(self, seed: int) -> int:
-        out = 0
-        for t, row in enumerate(self._gen_rows()):
-            if (seed >> t) & 1:
-                out ^= row
-        return out
-
-    def _support_words(self) -> np.ndarray:
-        rows = _pack_words(self._gen_bits())
-        out = np.empty((self.support_size, rows.shape[1]), dtype=np.uint64)
-        return _span_into(out, rows)
+        rows = planes.transpose(1, 0, 2).reshape(self.seed_bits, n)
+        return np.broadcast_to(rows, (len(blocks), self.seed_bits, n))
 
     def _parity_table(self) -> tuple[np.ndarray, int]:
         # one block of all seeds; column i packs coordinate i's seed bits
-        cols = np.packbits(self._gen_bits().T, axis=1)
-        return cols[:, None, :], self.support_size
+        cols = _pack_words(self._generators(np.arange(1)).transpose(2, 0, 1))
+        return cols, self.support_size
 
 
 class SmallBiasSpace(SampleSpace):
@@ -285,6 +282,7 @@ class SmallBiasSpace(SampleSpace):
         if (1 << seed_bits) > limit:
             raise SupportTooLargeError(seed_bits, limit)
         super().__init__(params, seed_bits=seed_bits)
+        self._span_bits = self.half_bits
 
     @staticmethod
     def _half_bits(n: int, k: int, delta: Fraction) -> int:
@@ -293,40 +291,21 @@ class SmallBiasSpace(SampleSpace):
         need_int = -(-need.numerator // need.denominator)
         return max(1, (need_int - 1).bit_length() - 1)
 
-    def vector(self, seed: int) -> int:
-        a = self.half_bits
-        x = seed >> a
-        y = seed & ((1 << a) - 1)
-        # bit i = low bit of x^i * y
-        f = field(self.half_bits)
-        out = 0
-        state = y
-        for i in range(self.params.n):
-            if state & 1:
-                out |= 1 << i
-            state = f.mul(state, x)
-        return out
+    def _powers(self, xs: np.ndarray) -> np.ndarray:
+        # (n, len(xs)): x^i for each field element x
+        return field(self.half_bits).power_table(xs, self.params.n)
 
-    def _powers(self) -> np.ndarray:
-        # (n, 2^a): x^i for every field element x
-        f = field(self.half_bits)
-        return f.power_table(np.arange(1 << self.half_bits), self.params.n)
-
-    def _support_words(self) -> np.ndarray:
-        # seed (x, y) sits at row x * 2^a + y; for each x the a "y-rows"
-        # (bit i of y-row b = low bit of x^i * t^b) span the block of x
-        a = self.half_bits
-        planes = field(a).low_bit_planes(self._powers())  # (b, i, x)
-        rows = _pack_words(planes.transpose(2, 0, 1))  # (x, b, words)
-        out = np.empty((1 << a, 1 << a, rows.shape[2]), dtype=np.uint64)
-        _span_into(out, rows)
-        return out.reshape(self.support_size, rows.shape[2])
+    def _generators(self, blocks: np.ndarray) -> np.ndarray:
+        # seed (x, y) is x * 2^a + y; row b of block x has bit i = low bit of
+        # x^i * t^b, so the bits of y pick the rows whose XOR is x^i * y's
+        planes = field(self.half_bits).low_bit_planes(self._powers(blocks))  # (b, i, x)
+        return planes.transpose(2, 0, 1)
 
     def _parity_table(self) -> tuple[np.ndarray, int]:
         # for fixed x, the parity over T is the low bit of (sum_T x^i) * y:
         # identically 0 in y when the sum is 0, balanced otherwise
         a = self.half_bits
-        cols = self._powers().astype(np.min_scalar_type((1 << a) - 1))
+        cols = self._powers(np.arange(1 << a)).astype(np.min_scalar_type((1 << a) - 1))
         return cols[:, :, None], 1 << a
 
 
@@ -349,22 +328,15 @@ class GroupedSpace(SampleSpace):
         self.groups = groups
         super().__init__(params, seed_bits=underlying.seed_bits)
 
-    def vector(self, seed: int) -> int:
-        base = self.underlying.vector(seed)
-        out = 0
-        for i, grp in enumerate(self.groups):
-            bit = 1
-            for p in grp:
-                bit &= (base >> p) & 1
-            out |= bit << i
-        if self.params.complemented:
-            out ^= (1 << len(self.groups)) - 1
-        return out
+    def _build_support(self) -> np.ndarray:
+        return self._and_groups(self.underlying._build_support())
 
-    def _support_words(self) -> np.ndarray:
-        base = self.underlying.support_words()
-        n_out = len(self.groups)
-        out = np.zeros((base.shape[0], _words(n_out)), dtype=np.uint64)
+    def _seed_words(self, seeds: list[int]) -> np.ndarray:
+        return self._and_groups(self.underlying._seed_words(seeds))
+
+    def _and_groups(self, base: np.ndarray) -> np.ndarray:
+        """Output word rows from underlying word rows."""
+        out = np.zeros((base.shape[0], _words(len(self.groups))), dtype=np.uint64)
         one = np.uint64(1)
         for i, grp in enumerate(self.groups):
             bit = np.ones(base.shape[0], dtype=np.uint64)
@@ -656,10 +628,19 @@ def space_from_descriptor(desc: dict) -> SampleSpace:
     raise ValueError(f"unknown construction {kind!r}")
 
 
+def mode_words(space: SampleSpace, mode: str, budget: int | None, count, seed: int) -> np.ndarray:
+    """Rows to evaluate: the whole support ("enumerate") or `count` draws ("sample")."""
+    if mode == "enumerate":
+        return space.support_words(budget)
+    if mode == "sample":
+        if not count or count < 1:
+            raise ValueError("sample mode needs trials >= 1")
+        return space.sample_words(count, seed)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def dump_support(space: SampleSpace, budget: int | None = None) -> str:
     """Newline-separated bitstrings, position 0 leftmost, seed order."""
-    n = space.params.n
-    lines = []
-    for v in space.iter_support(budget):
-        lines.append("".join("1" if (v >> i) & 1 else "0" for i in range(n)))
-    return "\n".join(lines) + "\n"
+    bits = _unpack_words(space.support_words(budget), space.params.n)
+    newline = np.full((bits.shape[0], 1), ord("\n"), dtype=np.uint8)
+    return np.concatenate([bits + ord("0"), newline], axis=1).tobytes().decode("ascii")

@@ -11,10 +11,67 @@ from math import comb
 
 import numpy as np
 
+from edgewise.gf2 import field
 from edgewise.graph import Graph, MinCut
-from edgewise.samplespace import IndependenceReport, SampleSpace
+from edgewise.samplespace import (
+    GroupedSpace,
+    IndependenceReport,
+    PolynomialSpace,
+    SampleSpace,
+    SmallBiasSpace,
+)
 
 _WORD = 64
+
+
+def vector(space: SampleSpace, seed: int) -> int:
+    """Support vector of one seed as an int (bit i = coordinate i), by scalar
+    field arithmetic: an independent reference for support and sample rows."""
+    if isinstance(space, PolynomialSpace):
+        # seed bit j * r + b is bit b of coefficient j; output i is the low
+        # bit of the polynomial evaluated at the field element encoded as i
+        f = field(space.field_bits)
+        r = space.field_bits
+        coeffs = [(seed >> (j * r)) & ((1 << r) - 1) for j in range(space.params.k)]
+        out = 0
+        for i in range(space.params.n):
+            value, power = 0, 1
+            for c in coeffs:
+                value ^= f.mul(c, power)
+                power = f.mul(power, i)
+            out |= (value & 1) << i
+        return out
+    if isinstance(space, SmallBiasSpace):
+        a = space.half_bits
+        x, state = seed >> a, seed & ((1 << a) - 1)
+        # bit i = low bit of x^i * y
+        f = field(a)
+        out = 0
+        for i in range(space.params.n):
+            out |= (state & 1) << i
+            state = f.mul(state, x)
+        return out
+    if isinstance(space, GroupedSpace):
+        base = vector(space.underlying, seed)
+        out = 0
+        for i, grp in enumerate(space.groups):
+            bit = int(all((base >> p) & 1 for p in grp))
+            out |= (bit ^ space.params.complemented) << i
+        return out
+    raise TypeError(f"no reference for {type(space).__name__}")
+
+
+def word_ints(words) -> list[int]:
+    """Rows of a uint64 word matrix as ints (bit i = coordinate i)."""
+    out = [0] * len(words)
+    for j in range(words.shape[1] - 1, -1, -1):
+        out = [(v << _WORD) | w for v, w in zip(out, words[:, j].tolist())]
+    return out
+
+
+def support_ints(space: SampleSpace, budget: int | None = None) -> list[int]:
+    """The support as ints, seed order."""
+    return word_ints(space.support_words(budget))
 
 
 def enumerated_independence(

@@ -210,7 +210,7 @@ def _c05_instances():
     for length, copies in ((3, 2), (4, 3), (5, 4), (6, 5), (4, 6)):
         out.append(gen_graph("multi_cycle", {"length": length, "copies": copies}))
     for n, d, s in ((10, 4, 1), (12, 6, 1), (14, 8, 1), (20, 4, 2), (16, 10, 1)):
-        out.append(gen_graph("expander_like", {"vertices": n, "degree": d, "seed": s}))
+        out.append(gen_graph("expander_like", {"vertices": n, "degree": d}, seed=s))
     return out
 
 
@@ -330,7 +330,7 @@ def _c07_instances():
         gen_graph("multi_cycle", {"length": 3, "copies": 3}),
         gen_graph("dumbbell", {"left": 4, "right": 4}),
         gen_graph("subdivided", {"vertices": 4, "pieces": 2}),
-        gen_graph("expander_like", {"vertices": 6, "degree": 4, "seed": 1}),
+        gen_graph("expander_like", {"vertices": 6, "degree": 4}, seed=1),
         _two_triangles(),
     ]
 
@@ -386,9 +386,9 @@ def test_c08_subsampling_keeps_wellconnected_instances_connected():
         (gen_graph("multi_cycle", {"length": 2, "copies": 10}), build_kwise(20, 4)),
         (gen_graph("multi_cycle", {"length": 3, "copies": 4}), build_kwise(12, 4)),
         (gen_graph("multi_cycle", {"length": 3, "copies": 6}), build_kwise(18, 4)),
-        (gen_graph("expander_like", {"vertices": 6, "degree": 10, "seed": 1}),
+        (gen_graph("expander_like", {"vertices": 6, "degree": 10}, seed=1),
          build_almost_kwise(30, 8, Fraction(1, 8))),
-        (gen_graph("expander_like", {"vertices": 8, "degree": 8, "seed": 1}),
+        (gen_graph("expander_like", {"vertices": 8, "degree": 8}, seed=1),
          build_almost_kwise(32, 8, Fraction(1, 8))),
     ]
     worst = Fraction(1)
@@ -499,7 +499,7 @@ def _c11_instances():
         out.append(gen_graph("subdivided", {"vertices": v, "pieces": pieces}))
     for n, d, s in ((8, 4, 1), (10, 4, 1), (12, 6, 1), (16, 6, 1), (12, 8, 1),
                     (20, 4, 1), (10, 8, 1)):
-        out.append(gen_graph("expander_like", {"vertices": n, "degree": d, "seed": s}))
+        out.append(gen_graph("expander_like", {"vertices": n, "degree": d}, seed=s))
     out.append(Graph(7, [(i, i + 1) for i in range(6)]))
     out.append(Graph(6, [(0, i) for i in range(1, 6)]))
     out.append(_two_triangles())
@@ -563,7 +563,7 @@ def _c12_instances():
     for length, d in ((3, 3), (4, 3), (5, 2), (6, 3), (7, 3), (8, 2)):
         out.append(gen_graph("cycle", {"length": length}).duplicate_edges(d))
     for n, d, s in ((8, 6, 1), (10, 6, 1), (12, 8, 1), (8, 8, 2), (10, 8, 1)):
-        out.append(gen_graph("expander_like", {"vertices": n, "degree": d, "seed": s}))
+        out.append(gen_graph("expander_like", {"vertices": n, "degree": d}, seed=s))
     out.append(gen_graph("complete", {"vertices": 4}).duplicate_edges(2))
     two_k4 = Graph(8, [(a, b) for a in range(4) for b in range(a + 1, 4)]
                       + [(a + 4, b + 4) for a in range(4) for b in range(a + 1, 4)])

@@ -21,10 +21,8 @@ from edgewise.basisfind import (
     delete_circuits,
     detect_single_circuit,
     find_basis,
-    find_large_independent_set_cographic,
-    find_large_independent_set_graphic,
-    list_short_cycles,
-    list_small_cuts,
+    find_large_independent_set,
+    list_circuits,
 )
 from edgewise.graph import Graph
 from edgewise.matroid import COGRAPHIC, GRAPHIC, OracleSession, ind_cographic, ind_graphic
@@ -125,7 +123,7 @@ def test_delete_circuits_preserves_rank(seed):
     if girth is None:
         pytest.skip("forest draw")
     before = s.rank()
-    clist = list_short_cycles(s, girth, g.m, dataclasses.replace(Constants.desk(), girth_mult=3.0))
+    clist = list_circuits(s, girth, g.m, dataclasses.replace(Constants.desk(), girth_mult=3.0))
     kept = delete_circuits(sorted(g.edge_ids()), s.elements(), clist.circuits)
     removed = set(s.elements()) - kept
     if removed:
@@ -138,7 +136,7 @@ def test_delete_circuits_preserves_rank(seed):
 
 def test_list_cycles_matches_enumeration_on_k4():
     s = OracleSession(K4, GRAPHIC)
-    clist = list_short_cycles(s, 3, K4.m, dataclasses.replace(Constants.desk(), girth_mult=2.0))
+    clist = list_circuits(s, 3, K4.m, dataclasses.replace(Constants.desk(), girth_mult=2.0))
     expected = {frozenset(c) for c in K4.enumerate_cycles() if len(c) == 3}
     assert set(clist.circuits) == expected
     assert len(expected) == 4
@@ -149,7 +147,7 @@ def test_list_cycles_theta_window_seven():
     th = theta(3, 4, 5)
     consts = dataclasses.replace(Constants.desk(), girth_mult=2.0)
     s = OracleSession(th, GRAPHIC)
-    clist = list_short_cycles(s, 7, th.m, consts)
+    clist = list_circuits(s, 7, th.m, consts)
     assert clist.size_window == (7, 7)
     assert [sorted(c) for c in clist.circuits] == [[1, 2, 3, 4, 5, 6, 7]]
 
@@ -157,12 +155,12 @@ def test_list_cycles_theta_window_seven():
 def test_list_cycles_theta_below_girth_is_empty():
     th = theta(3, 4, 5)
     consts = dataclasses.replace(Constants.desk(), girth_mult=2.0)
-    assert list_short_cycles(OracleSession(th, GRAPHIC), 3, th.m, consts).circuits == ()
+    assert list_circuits(OracleSession(th, GRAPHIC), 3, th.m, consts).circuits == ()
 
 
 def test_list_cycles_forest_empty():
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-    assert list_short_cycles(OracleSession(g, GRAPHIC), 1, g.m).circuits == ()
+    assert list_circuits(OracleSession(g, GRAPHIC), 1, g.m).circuits == ()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -172,21 +170,21 @@ def test_list_cycles_at_girth_complete(seed):
     if girth is None:
         pytest.skip("forest draw")
     consts = dataclasses.replace(Constants.desk(), girth_mult=3.0)
-    clist = list_short_cycles(OracleSession(g, GRAPHIC), girth, g.m, consts)
+    clist = list_circuits(OracleSession(g, GRAPHIC), girth, g.m, consts)
     expected = {frozenset(c) for c in g.enumerate_cycles() if len(c) == girth}
     assert set(clist.circuits) == expected
 
 
 def test_list_cuts_bridge():
     g = Graph(4, [(0, 1), (1, 2), (1, 2), (2, 3), (2, 3)])
-    clist = list_small_cuts(OracleSession(g, COGRAPHIC), 1, g.m)
+    clist = list_circuits(OracleSession(g, COGRAPHIC), 1, g.m)
     assert [sorted(c) for c in clist.circuits] == [[1]]
 
 
 def test_list_cuts_parallel_pair_between_triangles():
     g = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (0, 3)])
     consts = dataclasses.replace(Constants.desk(), cut_mult=1.0)
-    clist = list_small_cuts(OracleSession(g, COGRAPHIC), 2, g.m, consts)
+    clist = list_circuits(OracleSession(g, COGRAPHIC), 2, g.m, consts)
     assert frozenset({7, 8}) in set(clist.circuits)
     # everything listed really is a 2-cut
     expected = {eids for eids, _, _ in g.enumerate_cuts() if len(eids) == 2}
@@ -195,7 +193,7 @@ def test_list_cuts_parallel_pair_between_triangles():
 
 def test_list_cuts_k4_star_cuts():
     consts = dataclasses.replace(Constants.desk(), cut_mult=2.0)
-    clist = list_small_cuts(OracleSession(K4, COGRAPHIC), 3, K4.m, consts)
+    clist = list_circuits(OracleSession(K4, COGRAPHIC), 3, K4.m, consts)
     expected = {eids for eids, _, _ in K4.enumerate_cuts() if len(eids) == 3}
     assert set(clist.circuits) == expected
     assert len(expected) == 4
@@ -204,14 +202,10 @@ def test_list_cuts_k4_star_cuts():
 def test_listing_window_and_kind_validation():
     s = OracleSession(K4, GRAPHIC)
     with pytest.raises(PreconditionError):
-        list_short_cycles(s, 0, K4.m)
+        list_circuits(s, 0, K4.m)
     with pytest.raises(PreconditionError):
         # desk threshold is 0.5*log2(6) < 3
-        list_short_cycles(s, 3, K4.m)
-    with pytest.raises(ValueError):
-        list_small_cuts(s, 1, K4.m)
-    with pytest.raises(ValueError):
-        list_short_cycles(OracleSession(K4, COGRAPHIC), 1, K4.m)
+        list_circuits(s, 3, K4.m)
 
 
 def test_listing_sampled_regime_enumerated_cuts():
@@ -221,7 +215,7 @@ def test_listing_sampled_regime_enumerated_cuts():
     consts = dataclasses.replace(
         Constants.desk(), small_ell_cutoff=0, cut_mult=1.0, k_list_mult=1.0, c_cut=0.5
     )
-    clist = list_small_cuts(OracleSession(g, COGRAPHIC), 2, g.m, consts)
+    clist = list_circuits(OracleSession(g, COGRAPHIC), 2, g.m, consts)
     assert clist.mode == "enumerate"
     assert frozenset({7, 8}) in set(clist.circuits)
     real = {eids for eids, _, _ in g.enumerate_cuts() if len(eids) == 2}
@@ -234,7 +228,7 @@ def test_listing_sampled_regime_monte_carlo_cycles():
         list_delta_exp=0.5,
     )
     s = OracleSession(TRIANGLE_PENDANTS, GRAPHIC)
-    clist = list_short_cycles(
+    clist = list_circuits(
         s, 3, TRIANGLE_PENDANTS.m, consts, mode="sample", sample_count=300, seed=11
     )
     assert clist.mode == "sample"
@@ -247,7 +241,7 @@ def test_listing_sampled_regime_monte_carlo_cycles():
 def test_flis_graphic_forest_returns_everything():
     g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     s = OracleSession(g, GRAPHIC)
-    assert find_large_independent_set_graphic(s) == {1, 2, 3, 4}
+    assert find_large_independent_set(s) == {1, 2, 3, 4}
     # the full-set ride-along answers it in a single round
     assert s.ledger.total_rounds == 1
 
@@ -255,7 +249,7 @@ def test_flis_graphic_forest_returns_everything():
 def test_flis_graphic_long_cycle():
     g = Graph(12, [(i, (i + 1) % 12) for i in range(12)])
     s = OracleSession(g, GRAPHIC)
-    got = find_large_independent_set_graphic(s)
+    got = find_large_independent_set(s)
     assert got and len(got) >= g.m // 10
     assert ind_graphic(g, got)
     assert len(got) < g.m
@@ -265,7 +259,7 @@ def test_flis_graphic_precondition():
     consts = dataclasses.replace(Constants.desk(), girth_mult=2.0)
     s = OracleSession(Graph(3, [(0, 1), (1, 2), (2, 0)]), GRAPHIC)
     with pytest.raises(PreconditionError):
-        find_large_independent_set_graphic(s, constants=consts)
+        find_large_independent_set(s, constants=consts)
 
 
 def test_flis_cographic_tripled_triangle():
@@ -273,7 +267,7 @@ def test_flis_cographic_tripled_triangle():
     g = Graph(3, edges)
     assert g.min_cut().value == 6
     s = OracleSession(g, COGRAPHIC)
-    got = find_large_independent_set_cographic(s)
+    got = find_large_independent_set(s)
     assert len(got) >= g.m // 10
     assert ind_cographic(g, got)
     # complement spans: deleting the returned set keeps the graph connected
@@ -283,15 +277,25 @@ def test_flis_cographic_tripled_triangle():
 def test_flis_cographic_bridge_precondition():
     g = Graph(4, [(0, 1), (1, 2), (1, 2), (2, 3), (2, 3)])
     with pytest.raises(PreconditionError):
-        find_large_independent_set_cographic(OracleSession(g, COGRAPHIC))
+        find_large_independent_set(OracleSession(g, COGRAPHIC))
 
 
-def test_flis_kind_validation():
-    s = OracleSession(K4, GRAPHIC)
-    with pytest.raises(ValueError):
-        find_large_independent_set_cographic(s)
-    with pytest.raises(ValueError):
-        find_large_independent_set_graphic(OracleSession(K4, COGRAPHIC))
+@pytest.mark.parametrize(
+    "kind,listing,harvest",
+    [(GRAPHIC, "list-cycles", "flis-graphic"), (COGRAPHIC, "list-cuts", "flis-cographic")],
+)
+def test_round_labels_and_threshold_follow_session_kind(kind, listing, harvest):
+    consts = dataclasses.replace(Constants.desk(), girth_mult=2.0, cut_mult=0.1)
+    s = OracleSession(K4, kind)
+    list_circuits(s, 1, K4.m, consts)
+    find_large_independent_set(s, constants=consts, check_precondition=False)
+    assert [label for label, _ in s.ledger.rounds] == [listing, harvest]
+    # window 3 fits the girth threshold 2 log2(6) but not the cut threshold
+    if kind == GRAPHIC:
+        assert list_circuits(s, 3, K4.m, consts).size_window == (3, 3)
+    else:
+        with pytest.raises(PreconditionError):
+            list_circuits(s, 3, K4.m, consts)
 
 
 # -- the driver --------------------------------------------------------------------
@@ -387,7 +391,7 @@ def test_sweep_clears_short_circuits():
         consts = dataclasses.replace(Constants.desk(), girth_mult=3.0)
         order = sorted(g.edge_ids())
         for ell in (1, 2, 3):
-            clist = list_short_cycles(s, ell, g.m, consts)
+            clist = list_circuits(s, ell, g.m, consts)
             kept = delete_circuits(order, s.elements(), clist.circuits)
             gone = set(s.elements()) - kept
             if gone:

@@ -1,6 +1,7 @@
 """CLI surface tests: flag wiring, report shape, determinism, error paths."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,16 @@ import pytest
 from edgewise.cli import main
 from edgewise.experiments import connectivity_experiment, gen_graph
 from edgewise.samplespace import build_kwise, dump_support
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def checkout_env():
+    """Environment whose PYTHONPATH puts this checkout's src/ first."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def run_main(capsys, *argv):
@@ -84,6 +95,16 @@ def test_unique_cut_non_cut_is_an_error(capsys):
     )
     assert code == 2
     assert "not a cut" in err
+    assert out == ""
+
+
+def test_seed_param_key_is_an_error(capsys):
+    # the generator seed is --gen-seed; a seed key in --params is rejected
+    code, out, err = run_main(
+        capsys, "gen", "--family", "expander_like", "--params", "vertices=6,degree=4,seed=3",
+    )
+    assert code == 2
+    assert "'seed'" in err and "allowed: vertices, degree" in err
     assert out == ""
 
 
@@ -255,8 +276,8 @@ def test_subprocess_reports_byte_identical(tmp_path):
         sys.executable, "-m", "edgewise.cli", "cyclefree",
         "--family", "theta", "--params", "lengths=2:2:3", "--k", "3",
     ]
-    a = subprocess.run(argv, capture_output=True, check=True)
-    b = subprocess.run(argv, capture_output=True, check=True)
+    a = subprocess.run(argv, capture_output=True, check=True, env=checkout_env())
+    b = subprocess.run(argv, capture_output=True, check=True, env=checkout_env())
     assert a.stdout == b.stdout
     assert a.stdout  # nonempty
 
@@ -267,8 +288,8 @@ def test_subprocess_find_basis_deterministic(tmp_path):
         "--family", "complete", "--params", "vertices=5",
         "--kind", "cographic",
     ]
-    a = subprocess.run(argv, capture_output=True, check=True)
-    b = subprocess.run(argv, capture_output=True, check=True)
+    a = subprocess.run(argv, capture_output=True, check=True, env=checkout_env())
+    b = subprocess.run(argv, capture_output=True, check=True, env=checkout_env())
     assert a.stdout == b.stdout
     blob = json.loads(a.stdout)
     g = gen_graph("complete", {"vertices": 5})

@@ -1,5 +1,6 @@
 """Tests for the experiment harness: generators, rate experiments, reports."""
 
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -32,6 +33,7 @@ from edgewise.samplespace import (
     with_marginal,
 )
 from edgewise.spectral import edge_form_checker, leverage_scores, sparsify_rates, spectral_approx_check
+from oracles import word_ints
 
 HALF = Fraction(1, 2)
 
@@ -105,6 +107,16 @@ def test_bad_params_rejected():
         gen_graph("theta", {"lengths": [3]})
 
 
+def test_unread_param_keys_rejected():
+    with pytest.raises(ValueError, match=r"'bogus'.*allowed: length"):
+        gen_graph("cycle", {"length": 5, "bogus": 3})
+    # the seed is the keyword, not a parameter key
+    with pytest.raises(ValueError, match=r"'seed'.*allowed: vertices, degree"):
+        gen_graph("expander_like", {"vertices": 6, "degree": 4, "seed": 1})
+    with pytest.raises(ValueError, match="allowed: left, right"):
+        gen_graph("dumbbell", {"left": 3, "length": 2})
+
+
 def test_custom_family_round_trip(tmp_path):
     g = gen_graph("theta", {"lengths": [2, 2, 3]})
     p = tmp_path / "g.txt"
@@ -159,13 +171,28 @@ def test_connectivity_slow_path_matches_direct_recount():
     r = connectivity_experiment(g, space, mode="sample", trials=200, seed=3)
     order = g.edge_ids()
     hits = 0
-    for row in space.sample_vectors(200, seed=3):
+    for row in word_ints(space.sample_words(200, seed=3)):
         kept = [order[i] for i in range(g.m) if (row >> i) & 1]
         if g.keep_edges(kept).components() == g.components():
             hits += 1
     assert r.success_rate == Fraction(hits, 200)
     assert r.spec.mode == "sample"
     assert any("95%" in note for note in r.notes)
+
+
+def test_sampled_connectivity_reports_pinned():
+    # digests of the reports built from per-seed int vectors, captured
+    # before sample rows came from generator rows
+    g = gen_graph("expander_like", {"vertices": 24, "degree": 4}, seed=5)
+    space = build_almost_kwise(g.m, 4, Fraction(1, 8))
+    r = connectivity_experiment(g, space, mode="sample", trials=300, seed=7)
+    digest = "b2ae8c3fee6671b46b98571d4a605b18df8f66054ae64b9c66d4afd2fd73dae9"
+    assert hashlib.sha256(r.to_json().encode()).hexdigest() == digest
+    g = gen_graph("cycle", {"length": 22})
+    space = with_marginal(exact_builder, 22, 2, 0, 2, complemented=True)
+    r = connectivity_experiment(g, space, mode="sample", trials=150, seed=4)
+    digest = "9f66ffab1150cf4ad7efef5529c9e0b5f04e359ee0abc58ef62cdafd7c061ad0"
+    assert hashlib.sha256(r.to_json().encode()).hexdigest() == digest
 
 
 def test_connectivity_witnesses_name_the_dead_cut():
@@ -213,7 +240,7 @@ def test_cyclefree_beyond_cycle_listing_matches_forest_recount():
     r = cyclefree_experiment(g, space, mode="sample", trials=200, seed=2)
     order = g.edge_ids()
     forests = 0
-    for row in space.sample_vectors(200, seed=2):
+    for row in word_ints(space.sample_words(200, seed=2)):
         forests += g.keep_edges([order[i] for i in range(g.m) if (row >> i) & 1]).is_forest()
     assert r.rates["acyclic"] == Fraction(forests, 200)
     assert forests < 200

@@ -193,8 +193,8 @@ def test_session_query_counts_rounds():
 def test_session_run_round_batches():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     s = OracleSession(g, GRAPHIC)
-    answers = s.run_round("window", [{1}, {2}, {1, 2, 3, 4}, set()])
-    assert answers == [True, True, False, True]
+    answers = s.run_round("window", s.query_rows([{1}, {2}, {1, 2, 3, 4}, set()]))
+    assert answers.tolist() == [True, True, False, True]
     assert s.ledger.total_rounds == 1
     assert s.ledger.total_queries == 4
 
@@ -203,7 +203,11 @@ def test_session_run_round_validates_before_opening():
     g = Graph(3, [(0, 1), (1, 2)])
     s = OracleSession(g, GRAPHIC)
     with pytest.raises(KeyError):
-        s.run_round("bad", [{1}, {9}])
+        s.run_round("bad", s.query_rows([{1}, {9}]))
+    with pytest.raises(ValueError, match="matrix"):
+        s.run_round("bad", [[1, 0, 1]])  # three columns over two elements
+    with pytest.raises(ValueError, match="matrix"):
+        s.run_round("bad", [[2, 0]])
     # the failed batch must not have opened or counted a round
     assert s.ledger.total_rounds == 0
     assert s.ledger.total_queries == 0
@@ -284,7 +288,7 @@ def test_session_round_answers_match_union_find_past_one_word(kind):
     assert s.contracted
     ids = s.elements()
     queries = [set(rng.sample(ids, rng.randint(0, 12))) for _ in range(300)]
-    answers = s.run_round("mixed", queries)
+    answers = s.run_round("mixed", s.query_rows(queries)).tolist()
     assert answers == [base(g, q | s.contracted) for q in queries]
     assert True in answers and False in answers
     assert s.ledger.rounds[-1] == ("mixed", 300)

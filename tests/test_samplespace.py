@@ -1,12 +1,14 @@
 """Sample-space tests against brute-force counting oracles.
 
 The oracles are collections.Counter over the enumerated support with exact
-Fraction arithmetic, and the support-enumerating verifier in oracles.py; both
-are independent of verify_independence, which never builds the support.
+Fraction arithmetic, the support-enumerating verifier in oracles.py, and the
+scalar per-seed vectors there; all are independent of verify_independence,
+which never builds the support, and of the vectorized row builders.
 """
 
 import hashlib
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -27,12 +29,12 @@ from edgewise.samplespace import (
     verify_independence,
     with_marginal,
 )
-from oracles import enumerated_independence
+from oracles import enumerated_independence, support_ints, vector, word_ints
 
 
 def subset_counts(space, positions):
     c = Counter()
-    for v in space.iter_support():
+    for v in support_ints(space):
         pat = 0
         for b, p in enumerate(positions):
             pat |= ((v >> p) & 1) << b
@@ -77,7 +79,7 @@ def test_exact_space_complement_closure():
     # support multiset is closed under complement
     space = build_kwise(5, 3)
     mask = (1 << 5) - 1
-    c = Counter(space.iter_support())
+    c = Counter(support_ints(space))
     for v, cnt in c.items():
         assert c[v ^ mask] == cnt
 
@@ -111,7 +113,7 @@ def test_almost_space_coordinate_marginals():
     a = space.half_bits
     total = space.support_size
     ones = [0] * 7
-    for v in space.iter_support():
+    for v in support_ints(space):
         for i in range(7):
             ones[i] += (v >> i) & 1
     assert Fraction(ones[0], total) == Fraction(1, 2)
@@ -130,7 +132,7 @@ def test_grouped_marginal_is_two_to_minus_L(n, L):
     space = with_marginal(exact_builder, n, 2, Fraction(0), L)
     total = space.support_size
     for i in range(n):
-        ones = sum((v >> i) & 1 for v in space.iter_support())
+        ones = sum((v >> i) & 1 for v in support_ints(space))
         assert Fraction(ones, total) == Fraction(1, 1 << L)
 
 
@@ -138,7 +140,7 @@ def test_grouped_complemented_marginal():
     space = with_marginal(exact_builder, 3, 2, Fraction(0), 2, complemented=True)
     total = space.support_size
     for i in range(3):
-        ones = sum((v >> i) & 1 for v in space.iter_support())
+        ones = sum((v >> i) & 1 for v in support_ints(space))
         assert Fraction(ones, total) == Fraction(3, 4)
 
 
@@ -153,8 +155,7 @@ def test_grouped_joint_distribution_exact():
 
 def test_grouped_L1_matches_underlying():
     space = with_marginal(exact_builder, 5, 2, Fraction(0), 1)
-    for seed in range(space.support_size):
-        assert space.vector(seed) == space.underlying.vector(seed)
+    assert support_ints(space) == support_ints(space.underlying)
 
 
 def test_grouped_over_almost_space_within_delta():
@@ -174,7 +175,7 @@ def test_heterogeneous_groups():
         Fraction(1, 2),
     )
     # empty group emits a constant 1
-    assert all((v >> 1) & 1 for v in space.iter_support())
+    assert all((v >> 1) & 1 for v in support_ints(space))
     assert verify_independence(space, k_check=2).max_tv == 0
 
 
@@ -240,10 +241,10 @@ def test_verify_subset_cap_strides():
     assert rep.max_tv == 0
 
 
-def test_sample_vectors_deterministic():
+def test_sample_words_deterministic():
     space = build_kwise(8, 3)
-    assert space.sample_vectors(20, seed=7) == space.sample_vectors(20, seed=7)
-    assert space.sample_vectors(20, seed=7) != space.sample_vectors(20, seed=8)
+    assert np.array_equal(space.sample_words(20, seed=7), space.sample_words(20, seed=7))
+    assert not np.array_equal(space.sample_words(20, seed=7), space.sample_words(20, seed=8))
 
 
 def test_param_validation():
@@ -388,8 +389,8 @@ def test_small_bias_support_rows_equal_vector(n, k, delta, a):
     assert space.half_bits == a
     words = space.support_words()
     assert words.shape == (1 << (2 * a), (n + 63) // 64)
-    rows = list(space.iter_support())
-    assert rows == [space.vector(seed) for seed in range(space.support_size)]
+    rows = word_ints(words)
+    assert rows == [vector(space, seed) for seed in range(space.support_size)]
 
 
 @pytest.mark.parametrize(
@@ -415,6 +416,47 @@ def test_support_words_bytes_pinned(space, digest):
     words = space.support_words(1 << 20)
     assert words.dtype == np.uint64 and words.flags.c_contiguous
     assert hashlib.sha256(words.tobytes()).hexdigest() == digest
+
+
+def test_dump_support_pinned():
+    # captured from the per-row int walk the bitstrings were built with
+    text = dump_support(build_kwise(5, 3))
+    assert text.count("\n") == 2 ** 9 and text.endswith("\n")
+    digest = "c3f1e1c8a8dc61317ed2975ee89635be8e50493a0c0ed5cdad269ff3f7a4aa88"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# -- seeded sample rows against the scalar reference ----------------------------
+
+SAMPLED_SPACES = {
+    # 9 coefficients over GF(2^8): 72 seed bits, past any machine integer
+    "kwise(200,9)": lambda: build_kwise(200, 9),
+    # 2^40 seeds, far over the enumeration budget
+    "almost over budget": lambda: build_almost_kwise(40, 4, Fraction(1, 1 << 12), budget=1 << 62),
+    "grouped almost comp": lambda: with_marginal(
+        almost_builder, 9, 2, Fraction(1, 8), 2, complemented=True
+    ),
+    "hetero empty group": lambda: group_heterogeneous(
+        build_kwise(70, 8), [2, 0, 3, 1] * 10 + [4, 6], 2, Fraction(0)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_SPACES))
+def test_sample_words_match_scalar_vectors(name):
+    space = SAMPLED_SPACES[name]()
+    words = space.sample_words(97, seed=11)
+    assert words.shape == (97, (space.params.n + 63) // 64)
+    rng = random.Random(11)
+    draws = [rng.randrange(space.support_size) for _ in range(97)]
+    assert word_ints(words) == [vector(space, seed) for seed in draws]
+    assert space._support is None  # no support was built to sample
+
+
+def test_sampled_spaces_are_past_enumeration():
+    assert SAMPLED_SPACES["kwise(200,9)"]().seed_bits == 72
+    big = SAMPLED_SPACES["almost over budget"]()
+    assert big.support_size > samplespace.DEFAULT_ENUM_BUDGET
 
 
 def test_vectorized_field_arithmetic_matches_scalar():
