@@ -844,10 +844,11 @@ def reweight_then_connectivity(
     """
     if g.n < 2:
         raise PreconditionError("pipeline needs at least 2 vertices")
-    if g.min_cut().value < 2:
+    cut_value = g.min_cut().value
+    if cut_value < 2:
         raise PreconditionError(
             "pipeline expects minimum cut >= 2 (got "
-            f"{g.min_cut().value}); a bridge cannot be sampled away"
+            f"{cut_value}); a bridge cannot be sampled away"
         )
     weighting = reweight_min_cut(g)
     gw = g.with_weights(weighting.weights)

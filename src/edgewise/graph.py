@@ -17,11 +17,14 @@ exact rationals, written as "3" or "3/2".  The JSON form preserves edge ids.
 from __future__ import annotations
 
 import json
+import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .samplespace import _exact_dtype
 
 _WORD = 64
 _CHUNK = 1 << 15  # rows per label-propagation block
@@ -231,26 +234,23 @@ class Graph:
     def min_cut(self) -> MinCut:
         """Global minimum weighted cut, deterministic.
 
-        Runs a max-adjacency (Stoer-Wagner) sweep per component with exact
-        arithmetic.  Ties break toward the lexicographically smallest side
-        (the side is canonicalized to the lex-smaller of itself and its
-        complement).  A disconnected graph has a zero cut.
+        Runs a max-adjacency (Stoer-Wagner) sweep in exact integers: weights
+        are scaled by the LCM of their denominators into one dense n x n
+        matrix (n^2 entries of 8 bytes), int64 while twice the scaled total
+        stays below 2^62, Python ints beyond.  Each phase starts at the
+        smallest active vertex and adds the most tightly connected one next,
+        ties going to the smaller vertex.  Ties between cuts break toward
+        the lexicographically smallest side (the side is canonicalized to the
+        lex-smaller of itself and its complement).  A disconnected graph has
+        a zero cut.
         """
         if self.n < 2:
             raise ValueError("min cut needs at least 2 vertices")
         comps = self.components()
-        best: tuple[Fraction, tuple] | None = None
         if len(comps) > 1:
-            for comp in comps:
-                cand = (Fraction(0), self._canon_side(comp))
-                if best is None or cand < best:
-                    best = cand
+            value, side_t = Fraction(0), min(self._canon_side(c) for c in comps)
         else:
-            for value, side in self._sw_candidates(comps[0]):
-                cand = (value, self._canon_side(side))
-                if best is None or cand < best:
-                    best = cand
-        value, side_t = best
+            value, side_t = self._stoer_wagner()
         side = frozenset(side_t)
         return MinCut(value=value, side=side, edge_ids=self.crossing_edges(side))
 
@@ -259,47 +259,40 @@ class Graph:
         outside = tuple(sorted(set(range(self.n)) - set(side)))
         return min(inside, outside)
 
-    def _sw_candidates(self, comp: list[int]):
-        """Cut-of-the-phase candidates for one connected component."""
-        weights: dict[int, dict[int, Fraction]] = {v: defaultdict(Fraction) for v in comp}
-        comp_set = set(comp)
-        for _, u, v, w in self.edges():
-            if u in comp_set and v in comp_set:
-                weights[u][v] += w
-                weights[v][u] += w
-        groups = {v: frozenset([v]) for v in comp}
-        active = sorted(comp)
-        while len(active) > 1:
-            start = active[0]
-            in_a = {start}
-            order = [start]
-            conn: dict[int, Fraction] = defaultdict(Fraction)
-            for x, wx in weights[start].items():
-                conn[x] += wx
-            while len(order) < len(active):
-                pick = min(
-                    (x for x in active if x not in in_a),
-                    key=lambda x: (-conn[x], x),
-                )
-                order.append(pick)
-                in_a.add(pick)
-                for y, wy in weights[pick].items():
-                    if y not in in_a:
-                        conn[y] += wy
-            t = order[-1]
-            s = order[-2]
-            yield sum(weights[t].values(), Fraction(0)), groups[t]
-            # merge t into s
-            groups[s] = groups[s] | groups[t]
-            for y, wy in weights[t].items():
-                if y == s:
-                    continue
-                weights[s][y] += wy
-                weights[y][s] += wy
-                del weights[y][t]
-            weights[s].pop(t, None)
-            del weights[t]
-            active.remove(t)
+    def _stoer_wagner(self) -> tuple[Fraction, tuple]:
+        """(value, canonical side) of the least cut of the phase; connected graph."""
+        n = self.n
+        edges = list(self._edges.values())
+        scale = math.lcm(*(w.denominator for _, _, w in edges))
+        ints = [w.numerator * (scale // w.denominator) for _, _, w in edges]
+        dtype = _exact_dtype(sum(ints).bit_length())  # int64 iff 2 * total < 2^62
+        ends = np.array([(u, v) for u, v, _ in edges], dtype=np.intp)
+        weights = np.zeros((n, n), dtype=dtype)
+        np.add.at(weights, (ends[:, 0], ends[:, 1]), np.array(ints, dtype=dtype))
+        weights = weights + weights.T
+        groups = [[v] for v in range(n)]
+        merged = np.zeros(n, dtype=bool)  # rows and columns of merged vertices go stale
+        cuts = []  # (cut-of-the-phase value, t); groups[t] stays fixed once t is merged
+        for phase in range(n - 1):
+            taken = merged.copy()
+            conn = np.zeros(n, dtype=dtype)
+            conn[taken] = -1  # all active vertices tie at 0, so the smallest starts
+            s = t = -1
+            for _ in range(n - phase):
+                s, t = t, int(np.argmax(conn))
+                value = conn[t]
+                taken[t] = True
+                conn += weights[t]
+                conn[taken] = -1
+            cuts.append((value, t))
+            groups[s] += groups[t]
+            weights[s] += weights[t]
+            weights[:, s] = weights[s]
+            weights[s, s] = 0
+            merged[t] = True
+        low = min(cuts)[0]
+        side = min(self._canon_side(groups[t]) for value, t in cuts if value == low)
+        return Fraction(int(low), scale), side
 
     def enumerate_cuts(self, max_vertices: int = 20):
         """All distinct cut edge sets, one component at a time.

@@ -16,6 +16,7 @@ reruns.  alpha is always measured from what was achieved, never assumed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -49,7 +50,7 @@ class ClusterPartition:
         return len(self.parts)
 
 
-def _grow_partition(g: Graph, R: np.ndarray, rho: float) -> list[tuple]:
+def _grow_partition(g: Graph, R: np.ndarray, rho: float, rdiam) -> list[tuple]:
     """Greedy resistance-ball cover; every part induces a connected subgraph.
 
     Candidate balls are filtered by their induced-subgraph diameter, not the
@@ -57,7 +58,8 @@ def _grow_partition(g: Graph, R: np.ndarray, rho: float) -> list[tuple]:
     paths, so its induced diameter can far exceed the radius (path carved from
     a cycle).  Only balls whose induced diameter fits under rho compete; the
     least crossing weight wins, ties prefer the larger part (all-singleton
-    covers cross too much), then the smaller radius.
+    covers cross too much), then the smaller radius.  rdiam(sorted tuple)
+    gives a part's induced resistance diameter.
     """
     adj = g.adjacency()
     unassigned = set(range(g.n))
@@ -77,7 +79,7 @@ def _grow_partition(g: Graph, R: np.ndarray, rho: float) -> list[tuple]:
                     if y in ball and y not in part:
                         part.add(y)
                         stack.append(y)
-            if len(part) > 1 and resistance_diameter(g, part) > rho + _SLACK:
+            if len(part) > 1 and rdiam(tuple(sorted(part))) > rho + _SLACK:
                 continue
             cross = Fraction(0)
             for eid, u, v, w in g.edges():
@@ -120,16 +122,18 @@ def cluster_low_rdiam(
     if w_total == 0:
         raise ValueError("total weight is zero")
     R = _pairwise_resistances(g)
+    # equal balls recur across radii and alpha doublings; solve each once
+    rdiam = functools.cache(lambda part: resistance_diameter(g, part))
     a = alpha
     for _ in range(max_doublings + 1):
         rho = a * g.n / float(w_total)
-        parts = _grow_partition(g, R, rho)
-        part_sets = [set(p) for p in parts]
+        parts = _grow_partition(g, R, rho, rdiam)
+        part_of = {v: i for i, p in enumerate(parts) for v in p}
         crossing = Fraction(0)
         for _, u, v, w in g.edges():
-            if not any(u in p and v in p for p in part_sets):
+            if part_of[u] != part_of[v]:
                 crossing += w
-        max_rdiam = max(resistance_diameter(g, p) for p in parts)
+        max_rdiam = max(rdiam(p) for p in parts)
         if crossing <= w_total / 2 and max_rdiam <= rho + _SLACK:
             return ClusterPartition(
                 parts=tuple(parts),
@@ -249,11 +253,11 @@ def reweight_min_cut(g: Graph, delta_param="auto") -> WeightingResult:
                 for part in part_info.parts
             )
         )
-        part_sets = [set(p) for p in part_info.parts]
+        part_of = {v: i for i, p in enumerate(part_info.parts) for v in p}
         w_level = Fraction(1, delta**level)
         survivors = []
         for eid, u, v, _ in cur.edges():
-            if any(u in p and v in p for p in part_sets):
+            if part_of[u] == part_of[v]:
                 weights[eid] = w_level
                 levels[eid] = level
             else:

@@ -147,6 +147,64 @@ def brute_force_min_cut(g: Graph) -> MinCut:
     return MinCut(value=value, side=side, edge_ids=g.crossing_edges(side))
 
 
+def fraction_min_cut(g: Graph) -> MinCut:
+    """Reference minimum cut: Stoer-Wagner over Fraction dicts, one phase at a
+    time, with the same start, tie-breaks, merges and canonical side as the
+    library's dense integer sweep, so the whole (value, side, edge_ids)
+    triple must agree."""
+    if g.n < 2:
+        raise ValueError("min cut needs at least 2 vertices")
+    comps = g.components()
+    if len(comps) > 1:
+        candidates = [(Fraction(0), comp) for comp in comps]
+    else:
+        candidates = _fraction_sw_candidates(g)
+    value, side_t = min((value, g._canon_side(side)) for value, side in candidates)
+    side = frozenset(side_t)
+    return MinCut(value=value, side=side, edge_ids=g.crossing_edges(side))
+
+
+def _fraction_sw_candidates(g: Graph):
+    """Cut-of-the-phase candidates of a connected graph."""
+    weights: dict[int, dict[int, Fraction]] = {v: defaultdict(Fraction) for v in range(g.n)}
+    for _, u, v, w in g.edges():
+        weights[u][v] += w
+        weights[v][u] += w
+    groups = {v: frozenset([v]) for v in range(g.n)}
+    active = list(range(g.n))
+    while len(active) > 1:
+        start = active[0]
+        in_a = {start}
+        order = [start]
+        conn: dict[int, Fraction] = defaultdict(Fraction)
+        for x, wx in weights[start].items():
+            conn[x] += wx
+        while len(order) < len(active):
+            pick = min(
+                (x for x in active if x not in in_a),
+                key=lambda x: (-conn[x], x),
+            )
+            order.append(pick)
+            in_a.add(pick)
+            for y, wy in weights[pick].items():
+                if y not in in_a:
+                    conn[y] += wy
+        t = order[-1]
+        s = order[-2]
+        yield sum(weights[t].values(), Fraction(0)), groups[t]
+        # merge t into s
+        groups[s] = groups[s] | groups[t]
+        for y, wy in weights[t].items():
+            if y == s:
+                continue
+            weights[s][y] += wy
+            weights[y][s] += wy
+            del weights[y][t]
+        weights[s].pop(t, None)
+        del weights[t]
+        active.remove(t)
+
+
 def is_simple_cycle(g: Graph, eids) -> bool:
     """True when the edge subset forms one connected, all-degree-2 subgraph."""
     eids = set(eids)

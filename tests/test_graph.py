@@ -7,8 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import edgewise.graph as graph_module
+from edgewise.experiments import gen_graph
 from edgewise.graph import Graph
-from oracles import brute_force_cycles, brute_force_min_cut, is_simple_cycle
+from edgewise.reweight import reweight_min_cut
+from oracles import brute_force_cycles, brute_force_min_cut, fraction_min_cut, is_simple_cycle
 
 
 def random_multigraph(seed, n_lo=4, n_hi=8, extra_parallel=2, weighted=False):
@@ -108,6 +111,123 @@ def test_min_cut_deterministic():
     g = random_multigraph(99)
     a, b = g.min_cut(), g.min_cut()
     assert (a.value, a.side, a.edge_ids) == (b.value, b.side, b.edge_ids)
+
+
+def cut_triple(cut):
+    return cut.value, cut.side, cut.edge_ids
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("seed", range(30))
+def test_min_cut_matches_fraction_oracle(seed, weighted):
+    g = random_multigraph(seed, weighted=weighted)
+    assert cut_triple(g.min_cut()) == cut_triple(fraction_min_cut(g))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(4, [(0, 1, 0), (1, 2, 3), (2, 3, 0), (3, 0, 2)]),
+        Graph(3, [(0, 1, 0), (1, 2, 0)]),
+        Graph(5, [(0, 1), (0, 1), (1, 2, 0), (2, 3), (2, 3), (3, 4, Fraction(1, 3)), (4, 0)]),
+        Graph(3, [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2, Fraction(5, 2))]),
+        Graph(4, [(0, 1), (2, 3)]),
+        Graph(5, [(1, 2, 4), (2, 3, Fraction(1, 2)), (3, 1, 0)]),
+        Graph(3),
+    ],
+)
+def test_min_cut_zero_parallel_and_disconnected_match_oracle(g):
+    assert cut_triple(g.min_cut()) == cut_triple(fraction_min_cut(g))
+
+
+@pytest.mark.parametrize("delta", [10**12, 3**40])
+def test_min_cut_huge_scale_takes_object_dtype(delta, monkeypatch):
+    exact_dtype, picked = graph_module._exact_dtype, []
+
+    def spy(bits):
+        picked.append(exact_dtype(bits))
+        return picked[-1]
+
+    monkeypatch.setattr(graph_module, "_exact_dtype", spy)
+    rng = random.Random(7)
+    n = 9
+    edges = [(v - 1, v) for v in range(1, n)] + [
+        (rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)
+    ]
+    g = Graph(n, [(u, v, Fraction(1, delta ** (i % 4))) for i, (u, v) in enumerate(edges)])
+    assert cut_triple(g.min_cut()) == cut_triple(fraction_min_cut(g))
+    assert picked == [object]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        gen_graph("cycle", {"length": 60}),
+        gen_graph("cycle", {"length": 48}).duplicate_edges(2),
+        gen_graph("expander_like", {"vertices": 48, "degree": 6}),
+    ],
+    ids=["cycle60", "cycle48x2", "expander48d6"],
+)
+def test_min_cut_matches_oracle_on_every_reweight_level(g, monkeypatch):
+    seen = []
+    dense = Graph.min_cut
+
+    def record(self):
+        seen.append(self)
+        return dense(self)
+
+    monkeypatch.setattr(Graph, "min_cut", record)
+    result = reweight_min_cut(g)
+    monkeypatch.setattr(Graph, "min_cut", dense)
+    assert len(seen) == result.level_count
+    for level in seen:
+        assert cut_triple(level.min_cut()) == cut_triple(fraction_min_cut(level))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_min_cut_value_matches_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    n = rng.randint(21, 60)  # beyond brute_force_min_cut's reach
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(n, 3 * n))]
+    edges += rng.choices(edges, k=rng.randint(0, n))
+    g = Graph(n, edges)
+    merged = nx.Graph()
+    merged.add_nodes_from(range(n))
+    for _, u, v, w in g.edges():
+        merged.add_edge(u, v, weight=merged.get_edge_data(u, v, {"weight": 0})["weight"] + int(w))
+    value, _ = nx.stoer_wagner(merged)
+    assert g.min_cut().value == value
+
+
+def test_min_cut_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(2, 10))
+        vertex = st.integers(0, n - 1)
+        weight = st.fractions(min_value=0, max_value=5, max_denominator=6)
+        return Graph(n, draw(st.lists(st.tuples(vertex, vertex, weight), max_size=25)))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(graphs())
+    def check(g):
+        cut = g.min_cut()
+        assert cut.value == g.cut_weight(cut.side)
+        assert cut.edge_ids == g.crossing_edges(cut.side)
+        inside = tuple(sorted(cut.side))
+        outside = tuple(sorted(set(range(g.n)) - cut.side))
+        assert inside and outside and inside < outside
+        degree = [Fraction(0)] * g.n
+        for _, u, v, w in g.edges():
+            degree[u] += w
+            degree[v] += w
+        assert cut.value <= min(degree)
+
+    check()
 
 
 def test_enumerate_cuts_covers_all_edge_sets():
