@@ -259,23 +259,29 @@ class Graph:
         outside = tuple(sorted(set(range(self.n)) - set(side)))
         return min(inside, outside)
 
-    def _stoer_wagner(self) -> tuple[Fraction, tuple]:
-        """(value, canonical side) of the least cut of the phase; connected graph."""
-        n = self.n
+    def scaled_adjacency(self) -> tuple[np.ndarray, int]:
+        """(A, scale): symmetric n x n weights times the LCM of their
+        denominators, exact integers; int64 while twice the scaled total
+        stays below 2^62 (so any sum of entries fits), Python ints beyond."""
         edges = list(self._edges.values())
         scale = math.lcm(*(w.denominator for _, _, w in edges))
         ints = [w.numerator * (scale // w.denominator) for _, _, w in edges]
-        dtype = _exact_dtype(sum(ints).bit_length())  # int64 iff 2 * total < 2^62
-        ends = np.array([(u, v) for u, v, _ in edges], dtype=np.intp)
-        weights = np.zeros((n, n), dtype=dtype)
-        np.add.at(weights, (ends[:, 0], ends[:, 1]), np.array(ints, dtype=dtype))
-        weights = weights + weights.T
+        dtype = _exact_dtype(sum(ints).bit_length())
+        ends = np.array([(u, v) for u, v, _ in edges], dtype=np.intp).reshape(-1, 2)
+        A = np.zeros((self.n, self.n), dtype=dtype)
+        np.add.at(A, (ends[:, 0], ends[:, 1]), np.array(ints, dtype=dtype))
+        return A + A.T, scale
+
+    def _stoer_wagner(self) -> tuple[Fraction, tuple]:
+        """(value, canonical side) of the least cut of the phase; connected graph."""
+        n = self.n
+        weights, scale = self.scaled_adjacency()
         groups = [[v] for v in range(n)]
         merged = np.zeros(n, dtype=bool)  # rows and columns of merged vertices go stale
         cuts = []  # (cut-of-the-phase value, t); groups[t] stays fixed once t is merged
         for phase in range(n - 1):
             taken = merged.copy()
-            conn = np.zeros(n, dtype=dtype)
+            conn = np.zeros(n, dtype=weights.dtype)
             conn[taken] = -1  # all active vertices tie at 0, so the smallest starts
             s = t = -1
             for _ in range(n - phase):

@@ -27,8 +27,9 @@ import numpy as np
 from .graph import Graph
 from .spectral import (
     ResistanceTable,
-    _pairwise_resistances,
+    _resistances,
     leverage_scores,
+    pseudoinverse,
     resistance_diameter,
 )
 
@@ -50,7 +51,7 @@ class ClusterPartition:
         return len(self.parts)
 
 
-def _grow_partition(g: Graph, R: np.ndarray, rho: float, rdiam) -> list[tuple]:
+def _grow_partition(g: Graph, R: np.ndarray, A: np.ndarray, rho: float, rdiam) -> list[tuple]:
     """Greedy resistance-ball cover; every part induces a connected subgraph.
 
     Candidate balls are filtered by their induced-subgraph diameter, not the
@@ -59,37 +60,37 @@ def _grow_partition(g: Graph, R: np.ndarray, rho: float, rdiam) -> list[tuple]:
     a cycle).  Only balls whose induced diameter fits under rho compete; the
     least crossing weight wins, ties prefer the larger part (all-singleton
     covers cross too much), then the smaller radius.  rdiam(sorted tuple)
-    gives a part's induced resistance diameter.
+    gives a part's induced resistance diameter; crossing weights are exact
+    integer sums over A, g.scaled_adjacency()'s matrix.  Pruning: the radii
+    of one seed are distinct, so keys (crossing, -size, radius) never tie; a
+    ball whose key is not below the best fitting one so far cannot win, so
+    its diameter is never solved and the cover is the unpruned search's.
     """
     adj = g.adjacency()
-    unassigned = set(range(g.n))
+    free = np.ones(g.n, dtype=bool)
     parts = []
-    while unassigned:
-        v0 = min(unassigned)
-        radii = sorted({float(R[v0, u]) for u in unassigned if R[v0, u] <= rho + _SLACK})
-        best = None  # (crossing weight, -part size, radius, part)
-        for r in radii:
-            ball = {u for u in unassigned if R[v0, u] <= r + _SLACK}
+    while free.any():
+        v0 = int(np.argmax(free))  # smallest free vertex
+        row = R[v0]
+        best = None  # ((crossing weight, -part size, radius), part)
+        for r in sorted(set(row[free & (row <= rho + _SLACK)].tolist())):  # np.unique imports numpy.ma
+            ball = (free & (row <= r + _SLACK)).tolist()
             # connected piece of the ball around v0
-            part = {v0}
-            stack = [v0]
+            part, stack = {v0}, [v0]
             while stack:
-                x = stack.pop()
-                for y, _ in adj[x]:
-                    if y in ball and y not in part:
+                for y, _ in adj[stack.pop()]:
+                    if ball[y] and y not in part:
                         part.add(y)
                         stack.append(y)
-            if len(part) > 1 and rdiam(tuple(sorted(part))) > rho + _SLACK:
+            idx = sorted(part)
+            key = (A[idx].sum() - A[np.ix_(idx, idx)].sum(), -len(idx), r)
+            if best is not None and key >= best[0]:
                 continue
-            cross = Fraction(0)
-            for eid, u, v, w in g.edges():
-                if (u in part) != (v in part):
-                    cross += w
-            cand = (cross, -len(part), r, tuple(sorted(part)))
-            if best is None or cand < best:
-                best = cand
-        parts.append(best[3])
-        unassigned -= set(best[3])
+            if len(idx) > 1 and rdiam(tuple(idx)) > rho + _SLACK:
+                continue
+            best = (key, tuple(idx))
+        parts.append(best[1])
+        free[list(best[1])] = False
     return parts
 
 
@@ -121,18 +122,16 @@ def cluster_low_rdiam(
     w_total = g.total_weight()
     if w_total == 0:
         raise ValueError("total weight is zero")
-    R = _pairwise_resistances(g)
+    R = _resistances(pseudoinverse(g))
+    A, scale = g.scaled_adjacency()
     # equal balls recur across radii and alpha doublings; solve each once
     rdiam = functools.cache(lambda part: resistance_diameter(g, part))
     a = alpha
     for _ in range(max_doublings + 1):
         rho = a * g.n / float(w_total)
-        parts = _grow_partition(g, R, rho, rdiam)
-        part_of = {v: i for i, p in enumerate(parts) for v in p}
-        crossing = Fraction(0)
-        for _, u, v, w in g.edges():
-            if part_of[u] != part_of[v]:
-                crossing += w
+        parts = _grow_partition(g, R, A, rho, rdiam)
+        inside = sum(A[np.ix_(p, p)].sum() for p in parts)
+        crossing = Fraction(int(A.sum() - inside) // 2, scale)
         max_rdiam = max(rdiam(p) for p in parts)
         if crossing <= w_total / 2 and max_rdiam <= rho + _SLACK:
             return ClusterPartition(
@@ -247,30 +246,19 @@ def reweight_min_cut(g: Graph, delta_param="auto") -> WeightingResult:
 
         part_info = cluster_low_rdiam(cur)
         level_alphas.append(part_info.alpha_eff)
-        level_partitions_original.append(
-            tuple(
-                tuple(sorted(frozenset().union(*(to_orig[v] for v in part))))
-                for part in part_info.parts
-            )
-        )
-        part_of = {v: i for i, p in enumerate(part_info.parts) for v in p}
-        w_level = Fraction(1, delta**level)
-        survivors = []
-        for eid, u, v, _ in cur.edges():
-            if part_of[u] == part_of[v]:
-                weights[eid] = w_level
-                levels[eid] = level
-            else:
-                survivors.append(eid)
         nxt, vmap = cur.contract_partition(part_info.parts)
         if nxt.m > cur.m // 2:
             raise AssertionError(
                 f"edge count {cur.m} -> {nxt.m} did not halve at level {level}"
             )
-        new_to_orig = [frozenset() for _ in range(nxt.n)]
-        for v in range(cur.n):
-            new_to_orig[vmap[v]] |= to_orig[v]
-        to_orig = new_to_orig
+        w_level = Fraction(1, delta**level)
+        for eid, u, v, _ in cur.edges():
+            if vmap[u] == vmap[v]:
+                weights[eid] = w_level
+                levels[eid] = level
+        # sorted parts are in order of smallest vertex, as nxt numbers them
+        to_orig = [frozenset().union(*(to_orig[v] for v in p)) for p in sorted(part_info.parts)]
+        level_partitions_original.append(tuple(tuple(sorted(p)) for p in to_orig))
         cur = nxt
         level += 1
 

@@ -10,58 +10,78 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, UnionFind
 
 KERNEL_REL_TOL = 1e-9
 LEVERAGE_SUM_TOL = 1e-6
 
 
-def laplacian(g: Graph) -> np.ndarray:
-    """Dense Laplacian: degree matrix minus weighted adjacency."""
-    L = np.zeros((g.n, g.n))
-    for _, u, v, w in g.edges():
-        wf = float(w)
-        L[u, u] += wf
-        L[v, v] += wf
-        L[u, v] -= wf
-        L[v, u] -= wf
+def _edge_arrays(g: Graph):
+    """(u, v, w): endpoints and float weights of g's edges in id order, cached on g."""
+    cached = getattr(g, "_spectral_edges", None)
+    if cached is None:
+        ends = np.array([(u, v) for _, u, v, _ in g.edges()], dtype=np.intp).reshape(-1, 2)
+        w = np.array([float(w) for _, _, _, w in g.edges()], dtype=float)
+        cached = g._spectral_edges = (ends[:, 0], ends[:, 1], w)
+    return cached
+
+
+def _build_laplacian(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Laplacian of the edges (u[i], v[i], w[i]) by one unbuffered np.add.at
+    over the updates (u,u) += w, (v,v) += w, (u,v) -= w, (v,u) -= w of edge
+    0, then edge 1, ...: each entry gets its additions in edge order, so the
+    matrix is bitwise a per-edge loop's (x - w is x + (-w) in IEEE)."""
+    L = np.zeros((n, n))
+    rows = np.stack([u, v, u, v], axis=1).reshape(-1)
+    cols = np.stack([u, v, v, u], axis=1).reshape(-1)
+    np.add.at(L, (rows, cols), np.stack([w, w, -w, -w], axis=1).reshape(-1))
     return L
+
+
+def laplacian(g: Graph) -> np.ndarray:
+    """Dense Laplacian: degree matrix minus weighted adjacency, from g's
+    edge arrays in id order by the builder resistance_diameter also uses."""
+    return _build_laplacian(g.n, *_edge_arrays(g))
+
+
+def _checked_eigh(L: np.ndarray, n_comp: int):
+    """(vals, vecs, kernel_dim) of a Laplacian with n_comp components."""
+    vals, vecs = np.linalg.eigh(L)
+    top = max(float(vals[-1]), 0.0) if len(vals) else 0.0
+    tol = KERNEL_REL_TOL * top if top > 0 else KERNEL_REL_TOL
+    kernel_dim = int(np.sum(np.abs(vals) <= tol))
+    if kernel_dim != n_comp:
+        raise RuntimeError(
+            f"Laplacian kernel dimension {kernel_dim} != component count {n_comp}"
+        )
+    return vals, vecs, kernel_dim
 
 
 def _eig(g: Graph):
     """Cached eigendecomposition of the Laplacian, kernel dimension checked."""
     cached = getattr(g, "_spectral_eig", None)
-    if cached is not None:
-        return cached
-    L = laplacian(g)
-    vals, vecs = np.linalg.eigh(L)
-    top = max(float(vals[-1]), 0.0) if g.n else 0.0
-    tol = KERNEL_REL_TOL * top if top > 0 else KERNEL_REL_TOL
-    kernel_dim = int(np.sum(np.abs(vals) <= tol))
-    n_comp = g.component_count()
-    if kernel_dim != n_comp:
-        raise RuntimeError(
-            f"Laplacian kernel dimension {kernel_dim} != component count {n_comp}"
-        )
-    g._spectral_eig = (vals, vecs, kernel_dim)
-    return g._spectral_eig
+    if cached is None:
+        cached = g._spectral_eig = _checked_eigh(laplacian(g), g.component_count())
+    return cached
+
+
+def _pinv(vals, vecs, kernel_dim) -> np.ndarray:
+    """Moore-Penrose pseudoinverse from a checked eigendecomposition."""
+    inv = np.zeros_like(vals)
+    if kernel_dim < len(vals):
+        inv[kernel_dim:] = 1.0 / vals[kernel_dim:]
+    return (vecs * inv) @ vecs.T
 
 
 def pseudoinverse(g: Graph) -> np.ndarray:
     """Moore-Penrose pseudoinverse of the Laplacian."""
     cached = getattr(g, "_spectral_pinv", None)
-    if cached is not None:
-        return cached
-    vals, vecs, kernel_dim = _eig(g)
-    inv = np.zeros_like(vals)
-    if kernel_dim < len(vals):
-        inv[kernel_dim:] = 1.0 / vals[kernel_dim:]
-    g._spectral_pinv = (vecs * inv) @ vecs.T
-    return g._spectral_pinv
+    if cached is None:
+        cached = g._spectral_pinv = _pinv(*_eig(g))
+    return cached
 
 
 def effective_resistance(g: Graph, u: int, v: int) -> float:
@@ -74,8 +94,7 @@ def effective_resistance(g: Graph, u: int, v: int) -> float:
     return float(P[u, u] + P[v, v] - 2.0 * P[u, v])
 
 
-def _pairwise_resistances(g: Graph) -> np.ndarray:
-    P = pseudoinverse(g)
+def _resistances(P: np.ndarray) -> np.ndarray:
     d = np.diag(P)
     return d[:, None] + d[None, :] - 2.0 * P
 
@@ -110,45 +129,52 @@ def leverage_scores(g: Graph) -> ResistanceTable:
     Enforces the sum rule: leverage scores inside one component add up to the
     component's vertex count minus one.
     """
-    R = _pairwise_resistances(g)
+    R = _resistances(pseudoinverse(g))
+    comps = g.components()
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    comp_sum = [0.0] * len(comps)  # summed in edge-id order
     entries = {}
-    comp_sum: dict[int, float] = {}
-    uf = g.union_find()
     for eid, u, v, w in g.edges():
         reff = float(R[u, v])
         lev = float(w) * reff
         entries[eid] = (u, v, w, reff, lev)
-        root = uf.find(u)
-        comp_sum[root] = comp_sum.get(root, 0.0) + lev
-    comps = g.components()
+        comp_sum[comp_of[u]] += lev
     rdiams = []
-    for comp in comps:
-        if len(comp) > 1:
-            idx = np.asarray(comp)
-            rdiams.append(float(R[np.ix_(idx, idx)].max()))
-        else:
-            rdiams.append(0.0)
-        if len(comp) > 0:
-            got = comp_sum.get(uf.find(comp[0]), 0.0)
-            want = len(comp) - 1
-            if abs(got - want) > LEVERAGE_SUM_TOL:
-                raise RuntimeError(
-                    f"leverage sum {got} != {want} on component {comp[:5]}..."
-                )
+    for comp, got in zip(comps, comp_sum):
+        rdiams.append(float(R[np.ix_(comp, comp)].max()) if len(comp) > 1 else 0.0)
+        want = len(comp) - 1
+        if abs(got - want) > LEVERAGE_SUM_TOL:
+            raise RuntimeError(f"leverage sum {got} != {want} on component {comp[:5]}...")
     return ResistanceTable(entries=entries, component_rdiam=tuple(rdiams))
 
 
 def resistance_diameter(g: Graph, vertex_subset=None) -> float:
-    """Max pairwise effective resistance, computed on the induced subgraph."""
-    if vertex_subset is None:
-        sub = g
-    else:
-        sub, _ = g.induced_subgraph(vertex_subset)
-    if sub.n <= 1:
+    """Max pairwise effective resistance, computed on the induced subgraph.
+
+    g's cached edge arrays, masked to the subset and relabeled in sorted
+    vertex order, go through laplacian(g)'s builder: the entries get the same
+    additions in the same edge-id order as g.induced_subgraph(subset)'s
+    Laplacian, so the value is bitwise equal and no Graph is built.
+    Duplicates are ignored; a vertex outside 0..n-1 or a disconnected
+    induced subgraph is a ValueError.
+    """
+    vs = range(g.n) if vertex_subset is None else sorted(set(vertex_subset))
+    if vs and not (0 <= vs[0] and vs[-1] < g.n):
+        raise ValueError("vertex out of range")
+    if len(vs) <= 1:
         return 0.0
-    if not sub.is_connected():
+    u, v, w = _edge_arrays(g)
+    pos = np.full(g.n, -1, dtype=np.intp)
+    pos[vs] = np.arange(len(vs))
+    keep = (pos[u] >= 0) & (pos[v] >= 0)
+    pu, pv = pos[u[keep]], pos[v[keep]]
+    uf = UnionFind(len(vs))
+    for a, b in zip(pu.tolist(), pv.tolist()):
+        uf.union(a, b)
+    if uf.count != 1:
         raise ValueError("induced subgraph is disconnected")
-    return float(_pairwise_resistances(sub).max())
+    L = _build_laplacian(len(vs), pu, pv, w[keep])
+    return float(_resistances(_pinv(*_checked_eigh(L, 1))).max())
 
 
 @dataclass(frozen=True)

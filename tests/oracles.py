@@ -4,6 +4,7 @@ Each one computes what a library routine computes by a different method, so
 the tests can require the two to agree.
 """
 
+import functools
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, islice
@@ -13,6 +14,7 @@ import numpy as np
 
 from edgewise.gf2 import field
 from edgewise.graph import Graph, MinCut
+from edgewise.reweight import _SLACK, ALPHA0, MAX_ALPHA_DOUBLINGS, ClusterPartition
 from edgewise.samplespace import (
     GroupedSpace,
     IndependenceReport,
@@ -20,6 +22,7 @@ from edgewise.samplespace import (
     SampleSpace,
     SmallBiasSpace,
 )
+from edgewise.spectral import KERNEL_REL_TOL
 
 _WORD = 64
 
@@ -236,3 +239,107 @@ def brute_force_cycles(g: Graph, max_edges: int = 14):
             if is_simple_cycle(g, sub):
                 out.append(frozenset(sub))
     return sorted(out, key=lambda c: (len(c), tuple(sorted(c))))
+
+
+def loop_laplacian(g: Graph) -> np.ndarray:
+    """Dense Laplacian by four float updates per edge, edges in id order."""
+    L = np.zeros((g.n, g.n))
+    for _, u, v, w in g.edges():
+        wf = float(w)
+        L[u, u] += wf
+        L[v, v] += wf
+        L[u, v] -= wf
+        L[v, u] -= wf
+    return L
+
+
+def loop_resistances(g: Graph) -> np.ndarray:
+    """Pairwise effective resistances from loop_laplacian, by the library's
+    float steps: eigh, the kernel check against the component count, the
+    spectral pseudoinverse (vecs * inv) @ vecs.T, then diag sums."""
+    vals, vecs = np.linalg.eigh(loop_laplacian(g))
+    top = max(float(vals[-1]), 0.0) if g.n else 0.0
+    tol = KERNEL_REL_TOL * top if top > 0 else KERNEL_REL_TOL
+    kernel_dim = int(np.sum(np.abs(vals) <= tol))
+    n_comp = g.component_count()
+    if kernel_dim != n_comp:
+        raise RuntimeError(f"Laplacian kernel dimension {kernel_dim} != component count {n_comp}")
+    inv = np.zeros_like(vals)
+    inv[kernel_dim:] = 1.0 / vals[kernel_dim:]
+    P = (vecs * inv) @ vecs.T
+    d = np.diag(P)
+    return d[:, None] + d[None, :] - 2.0 * P
+
+
+def induced_resistance_diameter(g: Graph, part) -> float:
+    """Resistance diameter of the Graph that g.induced_subgraph(part) builds."""
+    sub, _ = g.induced_subgraph(part)
+    if sub.n <= 1:
+        return 0.0
+    if not sub.is_connected():
+        raise ValueError("induced subgraph is disconnected")
+    return float(loop_resistances(sub).max())
+
+
+def greedy_partition_reference(
+    g: Graph,
+    alpha: float = ALPHA0,
+    max_doublings: int = MAX_ALPHA_DOUBLINGS,
+    solve=induced_resistance_diameter,
+) -> ClusterPartition:
+    """cluster_low_rdiam without pruning: every candidate ball that is not a
+    singleton has its diameter solved (once per distinct ball, memoized
+    across radii and doublings), by solve(g, part) on an induced Graph, and
+    every crossing weight is a Fraction sum over a rescan of all edges."""
+    if not g.is_connected() or g.n < 2:
+        raise ValueError("the reference needs a connected graph on 2+ vertices")
+    w_total = g.total_weight()
+    R = loop_resistances(g)
+    rdiam = functools.cache(lambda part: solve(g, part))
+
+    def crossing(part) -> Fraction:
+        return sum(
+            (w for _, u, v, w in g.edges() if (u in part) != (v in part)), Fraction(0)
+        )
+
+    adj = g.adjacency()
+    a = alpha
+    for _ in range(max_doublings + 1):
+        rho = a * g.n / float(w_total)
+        unassigned = set(range(g.n))
+        parts = []
+        while unassigned:
+            v0 = min(unassigned)
+            radii = sorted({float(R[v0, u]) for u in unassigned if R[v0, u] <= rho + _SLACK})
+            best = None  # (crossing weight, -part size, radius, part)
+            for r in radii:
+                ball = {u for u in unassigned if R[v0, u] <= r + _SLACK}
+                part = {v0}
+                stack = [v0]
+                while stack:
+                    for y, _ in adj[stack.pop()]:
+                        if y in ball and y not in part:
+                            part.add(y)
+                            stack.append(y)
+                if len(part) > 1 and rdiam(tuple(sorted(part))) > rho + _SLACK:
+                    continue
+                cand = (crossing(part), -len(part), r, tuple(sorted(part)))
+                if best is None or cand < best:
+                    best = cand
+            parts.append(best[3])
+            unassigned -= set(best[3])
+        part_of = {v: i for i, p in enumerate(parts) for v in p}
+        cross = sum(
+            (w for _, u, v, w in g.edges() if part_of[u] != part_of[v]), Fraction(0)
+        )
+        max_rdiam = max(rdiam(p) for p in parts)
+        if cross <= w_total / 2 and max_rdiam <= rho + _SLACK:
+            return ClusterPartition(
+                parts=tuple(parts),
+                crossing_weight=cross,
+                max_part_rdiam=max_rdiam,
+                alpha_used=a,
+                alpha_eff=max_rdiam * float(w_total) / g.n,
+            )
+        a *= 2
+    raise RuntimeError(f"no valid clustering within {max_doublings} alpha doublings")

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import edgewise.reweight as reweight_module
+from edgewise.experiments import gen_graph
 from edgewise.graph import Graph
 from edgewise.reweight import (
     auto_delta,
@@ -14,6 +16,7 @@ from edgewise.reweight import (
     verify_converse,
 )
 from edgewise.spectral import leverage_scores, resistance_diameter
+from oracles import greedy_partition_reference, induced_resistance_diameter
 
 
 def cycle_graph(L):
@@ -197,3 +200,90 @@ def test_verify_converse_after_reweight():
         res = reweight_min_cut(g)
         rep = verify_converse(g, res.weights)
         assert rep.ok, f"certified {rep.c} but cut is {rep.min_cut_value}"
+
+
+# -- pruned clustering against the unpruned reference -------------------------
+
+
+def weighted(g, pool):
+    """g with edge i (in id order) weighted pool[i % len(pool)]."""
+    return g.with_weights({eid: pool[i % len(pool)] for i, eid in enumerate(g.edge_ids())})
+
+
+THIRDS_SEVENTHS = [Fraction(1, 3), Fraction(2, 7)]
+TENTHS = [Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)]
+
+REFERENCE_GRAPHS = {
+    "cycle12": cycle_graph(12),
+    "cycle30": cycle_graph(30),
+    "cycle61": cycle_graph(61),
+    "dumbbell": dumbbell(),
+    "complete8": complete_graph(8),
+    "multi_cycle(5,3)": gen_graph("multi_cycle", {"length": 5, "copies": 3}),
+    "multi_cycle(4,6)": gen_graph("multi_cycle", {"length": 4, "copies": 6}),
+    **{
+        f"expander({n},{d})#{seed}": gen_graph(
+            "expander_like", {"vertices": n, "degree": d}, seed=seed
+        )
+        for n, d in ((24, 4), (48, 6))
+        for seed in range(5)
+    },
+    # float sums of these weights round
+    "cycle20/thirds": weighted(cycle_graph(20), THIRDS_SEVENTHS),
+    "dumbbell/tenths": weighted(dumbbell(), TENTHS),
+    "complete7/mixed": weighted(complete_graph(7), THIRDS_SEVENTHS + TENTHS),
+    "expander(24,4)/mixed": weighted(
+        gen_graph("expander_like", {"vertices": 24, "degree": 4}), TENTHS + THIRDS_SEVENTHS
+    ),
+    "cycle9x2/tenths": weighted(cycle_graph(9).duplicate_edges(2), TENTHS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
+def test_cluster_equals_unpruned_reference(name):
+    g = REFERENCE_GRAPHS[name]
+    assert cluster_low_rdiam(g) == greedy_partition_reference(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        gen_graph("cycle", {"length": 60}),
+        gen_graph("cycle", {"length": 48}).duplicate_edges(2),
+        gen_graph("expander_like", {"vertices": 48, "degree": 6}),
+    ],
+    ids=["cycle60", "cycle48x2", "expander48d6"],
+)
+def test_cluster_equals_reference_on_every_reweight_level(g, monkeypatch):
+    seen = []
+    pruned = reweight_module.cluster_low_rdiam
+
+    def record(level, *args, **kwargs):
+        seen.append(level)
+        return pruned(level, *args, **kwargs)
+
+    monkeypatch.setattr(reweight_module, "cluster_low_rdiam", record)
+    result = reweight_min_cut(g)
+    assert len(seen) == result.level_count
+    for level in seen:
+        assert pruned(level) == greedy_partition_reference(level)
+
+
+def test_pruning_solves_fewer_diameters_through_the_named_entry_point(monkeypatch):
+    # the bench counts part solves by wrapping resistance_diameter by name: a
+    # bypass reads 0 calls, a lost pruning as many as the unpruned search
+    g = gen_graph("expander_like", {"vertices": 48, "degree": 4})
+    calls, ref_calls = [], []
+    real = reweight_module.resistance_diameter
+
+    def counted(graph, part=None):
+        calls.append(part)
+        return real(graph, part)
+
+    def ref_counted(graph, part):
+        ref_calls.append(part)
+        return induced_resistance_diameter(graph, part)
+
+    monkeypatch.setattr(reweight_module, "resistance_diameter", counted)
+    assert cluster_low_rdiam(g) == greedy_partition_reference(g, solve=ref_counted)
+    assert 0 < len(calls) < len(ref_calls)

@@ -1,6 +1,7 @@
 """Spectral tests against closed-form electrical values (series, parallel,
 symmetry plus the sum rule) and small random instances."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from edgewise.spectral import (
     sparsify_rates,
     spectral_approx_check,
 )
+from oracles import induced_resistance_diameter, loop_laplacian
 
 
 def cycle_graph(L):
@@ -263,3 +265,97 @@ def test_energy_bounded_by_resistance_diameter():
         t = rng.uniform(0.1, 0.9)
         b[3], b[4] = -t, -(1 - t)
         assert flow_energy(g, b) <= R + 1e-9
+
+
+# weights whose float sums round: thirds, sevenths and powers of ten
+INEXACT = [Fraction(1, 3), Fraction(2, 7), Fraction(1, 10), Fraction(1, 100),
+           Fraction(1, 10**6), Fraction(1, 10**12), Fraction(3, 2), Fraction(1)]
+
+
+def random_rational_multigraph(seed):
+    """Parallel edges, dropped loops, zero weights, isolated vertices and
+    gaps in the edge ids."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    edges = []
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        w = rng.choice(INEXACT + [Fraction(0), Fraction(rng.randint(1, 50), rng.randint(1, 50))])
+        edges.append((u, v, w))
+    g = Graph(n, edges)
+    drop = [eid for eid in g.edge_ids() if rng.random() < 0.2]
+    return g.delete_edges(drop)
+
+
+def test_laplacian_bitwise_equals_edge_loop():
+    mismatches = [
+        seed for seed in range(300)
+        if laplacian(g := random_rational_multigraph(seed)).tobytes()
+        != loop_laplacian(g).tobytes()
+    ]
+    assert mismatches == []
+
+
+def connected_parts(g, rng, count):
+    """Vertex sets that induce connected subgraphs: BFS prefixes."""
+    adj = g.adjacency()
+    out = []
+    for _ in range(count):
+        root = rng.randrange(g.n)
+        order, seen = [root], {root}
+        for x in order:
+            for y, _ in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    order.append(y)
+        out.append(order[: rng.randint(2, len(order))])
+    return out
+
+
+def outcome(fn, *args):
+    """The value, or the error (type and text) when the kernel check fails:
+    weight ratios up to 10^12 put some Laplacians past KERNEL_REL_TOL."""
+    try:
+        return fn(*args)
+    except RuntimeError as exc:
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_resistance_diameter_bitwise_equals_induced_subgraph(seed):
+    rng = random.Random(seed)
+    g = random_connected(seed, 5, 14)
+    g = g.with_weights({eid: rng.choice(INEXACT) for eid in g.edge_ids()})
+    for part in connected_parts(g, rng, 8) + [list(range(g.n))]:
+        got = outcome(resistance_diameter, g, part)
+        assert got == outcome(induced_resistance_diameter, g, part)
+        assert got == outcome(resistance_diameter, g.induced_subgraph(part)[0])
+    assert outcome(resistance_diameter, g) == outcome(induced_resistance_diameter, g, range(g.n))
+
+
+def test_resistance_diameter_subset_validation():
+    g = cycle_graph(6)
+    for bad in ([-1, 0, 1], [0, 1, 6], [-1]):
+        with pytest.raises(ValueError, match="out of range"):
+            resistance_diameter(g, bad)
+    with pytest.raises(ValueError, match="disconnected"):
+        resistance_diameter(g, [0, 1, 3, 4])
+    assert resistance_diameter(g, [2, 0, 1, 1, 0]) == resistance_diameter(g, [0, 1, 2])
+    assert resistance_diameter(g, []) == 0.0
+    assert resistance_diameter(g, [3, 3, 3]) == 0.0
+    assert resistance_diameter(Graph(1, [])) == 0.0
+
+
+def test_leverage_scores_pinned_on_disconnected_rational_multigraph():
+    # three components (a weighted triangle with a parallel edge, a 1/10^k
+    # path, an isolated vertex), edge ids interleaved across components;
+    # sha256 of the CSV and component diameters captured before the
+    # component sums moved to one components() pass
+    edges = [(0, 1, Fraction(1, 3)), (3, 4, Fraction(1, 10)), (1, 2, Fraction(2, 7)),
+             (4, 5, Fraction(1, 100)), (2, 0, Fraction(1, 3)), (5, 6, Fraction(1, 1000)),
+             (0, 1, Fraction(2, 7)), (3, 6, Fraction(1, 10**6))]
+    t = leverage_scores(Graph(8, edges))
+    blob = t.to_csv() + repr(t.component_rdiam)
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "19b3b9b49aebbea81be5f30ea8ac67b0af0c1a0c184c0f0415e55f5d9c92e297"
+    )
