@@ -18,9 +18,10 @@ import functools
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .reweight import reweight_min_cut
 from .samplespace import (
     DEFAULT_ENUM_BUDGET,
     SampleSpace,
+    _all_set,
     _pack_words,
     build_kwise,
     group_heterogeneous,
@@ -304,22 +306,11 @@ def _mode_notes(mode: str, trials: int) -> tuple[str, ...]:
 # -- vectorized support evaluation --------------------------------------------
 
 
-def _masks(positions: Iterable[int], words: int) -> list[tuple[int, np.uint64]]:
-    by_word: dict[int, int] = {}
-    for p in positions:
-        w, off = divmod(p, _WORD)
-        by_word[w] = by_word.get(w, 0) | (1 << off)
-    if words <= max(by_word, default=0):
-        raise ValueError("coordinate outside the word matrix")
-    return [(w, np.uint64(m)) for w, m in sorted(by_word.items())]
-
-
 def _rows_all_set(words: np.ndarray, positions) -> np.ndarray:
-    """Boolean row mask: every listed coordinate is 1."""
-    out = np.ones(words.shape[0], dtype=bool)
-    for w, m in _masks(positions, words.shape[1]):
-        out &= (words[:, w] & m) == m
-    return out
+    """Boolean row mask: every listed coordinate is 1.  The events of the
+    experiments go through this name, so a tracer patched onto it counts
+    them and not the grouped spaces' own uses of the same test."""
+    return _all_set(words, positions)
 
 
 def _row_popcounts(words: np.ndarray, n: int) -> np.ndarray:
@@ -450,17 +441,23 @@ def union_bound_component_floor(g: Graph, space: SampleSpace) -> Fraction:
 
 
 def _union_bound_floor(cuts, order: Sequence[int], space: SampleSpace) -> Fraction:
-    pos = {eid: j for j, eid in enumerate(order)}
+    """1 - sum over cuts of (product of its min(k, |cut|) smallest drop
+    probabilities + delta), clamped at zero.  A cut's term depends only on
+    which drops those are, so cuts are counted by the sorted ranks of their
+    drops and each distinct product is formed once."""
     marg = space.coordinate_marginals()
+    drops = sorted({1 - q for q in marg})
+    rank = {q: r for r, q in enumerate(drops)}
+    pos_rank = {eid: rank[1 - marg[j]] for j, eid in enumerate(order)}
     k = space.params.k
     delta = space.params.delta
+    profiles = Counter(tuple(sorted(pos_rank[e] for e in eids)[:k]) for eids, _, _ in cuts)
     total_fail = Fraction(0)
-    for eids, _, _ in cuts:
-        drops = sorted(1 - marg[pos[e]] for e in eids)[: min(k, len(eids))]
+    for profile, count in profiles.items():
         pr = Fraction(1)
-        for q in drops:
-            pr *= q
-        total_fail += pr + delta
+        for r in profile:
+            pr *= drops[r]
+        total_fail += count * (pr + delta)
     floor = 1 - total_fail
     return floor if floor > 0 else Fraction(0)
 

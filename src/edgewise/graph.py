@@ -27,7 +27,7 @@ import numpy as np
 from .samplespace import _exact_dtype
 
 _WORD = 64
-_CHUNK = 1 << 15  # rows per label-propagation block
+_CHUNK = 1 << 15  # most rows per component-count block
 
 
 class UnionFind:
@@ -70,6 +70,75 @@ class MinCut:
     edge_ids: frozenset
 
 
+@dataclass(frozen=True)
+class _Elimination:
+    """Vertex elimination schedule; vertices are named by elimination position.
+
+    dtype and words: the mask of one vertex is `words` integers of `dtype`,
+    bit p of the mask (word p // bits, bit p % bits) standing for position p.
+    ends: per edge, in edge-id order, its (earlier, later) endpoint positions.
+    fills: (i, later, word, shift, reach) for each position i with later
+    neighbours in the filled graph: `later` lists them ascending, word and
+    shift locate each one's bit, and reach is the (words, 1) mask of them all.
+    """
+
+    dtype: np.dtype
+    words: int
+    ends: tuple
+    fills: tuple
+
+
+def _elimination_schedule(n: int, ends) -> _Elimination:
+    """Minimum-degree elimination order (ties to the smaller vertex), its
+    filled later-neighbour lists, and the edges relabelled by position."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in ends:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    alive = set(range(n))
+    order, later = [], []
+    while alive:
+        v = min(alive, key=lambda x: (len(nbrs[x]), x))
+        alive.remove(v)
+        order.append(v)
+        later.append(nbrs[v])
+        for x in nbrs[v]:
+            nbrs[x] |= nbrs[v]
+            nbrs[x] -= {x, v}
+    pos = {v: p for p, v in enumerate(order)}
+    bits = 8
+    while bits < min(n, _WORD):
+        bits *= 2
+    words = -(-n // bits)
+    dtype = np.dtype(f"uint{bits}")
+    fills = []
+    for i, nb in enumerate(later):
+        if nb:
+            xs = sorted(pos[x] for x in nb)
+            reach = sum(1 << x for x in xs)
+            fills.append((
+                i, xs,
+                np.array([x // bits for x in xs], dtype=np.intp),
+                np.array([x % bits for x in xs], dtype=dtype)[:, None],
+                np.array([(reach >> (bits * w)) & ((1 << bits) - 1) for w in range(words)],
+                         dtype=dtype)[:, None],
+            ))
+    return _Elimination(
+        dtype=dtype,
+        words=words,
+        ends=tuple(tuple(sorted((pos[u], pos[v]))) for u, v in ends),
+        fills=tuple(fills),
+    )
+
+
+def _row_lists(matrix: np.ndarray, labels=None) -> list[list]:
+    """Per row of a boolean matrix, its set columns ascending (or their labels)."""
+    rows, cols = np.nonzero(matrix)
+    flat = (cols if labels is None else labels[cols]).tolist()
+    stops = np.cumsum(np.bincount(rows, minlength=matrix.shape[0])).tolist()
+    return [flat[a:b] for a, b in zip([0] + stops, stops)]
+
+
 def _as_weight(w) -> Fraction:
     w = Fraction(w)
     if w < 0:
@@ -105,6 +174,7 @@ class Graph:
             items[eid] = (u, v, w)
         self._edges = items
         self._adj: dict[int, list[tuple[int, int]]] | None = None
+        self._schedule: _Elimination | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -170,48 +240,67 @@ class Graph:
     def component_counts(self, words) -> np.ndarray:
         """Component count of the kept subgraph, one per row of a word matrix.
 
-        words is a (rows, ceil(m/64)) uint64 matrix; bit j of a row (word
-        j // 64, bit j % 64) keeps edge edge_ids()[j], and bits at or beyond
-        m are ignored.  All rows run at once by min-label propagation: each
-        vertex starts with its own label and every kept edge lowers both
-        endpoints to the smaller one.  A dropped edge is an all-ones mask, so
-        each update is min(lab[u], lab[v] | drop).  Sweeps alternate
-        direction until no label changes; a component then has exactly one
-        vertex still holding its own label.
+        words is an integer (rows, ceil(m/64)) matrix of uint64 words; bit j of
+        a row (word j // 64, bit j % 64) keeps edge edge_ids()[j], and bits at
+        or beyond m are ignored.  Every row runs through one pass of vertex
+        elimination on a schedule cached per graph (``_elimination_schedule``): a
+        minimum-degree order and, for each vertex, its later neighbours in the
+        filled graph.  Each vertex holds a bit mask of its later neighbours in
+        the kept subgraph, one bit per elimination position, in the narrowest
+        unsigned dtype of at least n bits (uint8 to uint64), or in ceil(n/64)
+        uint64 words past n = 64.  Eliminating vertex i hands its mask to each
+        later neighbour x it actually reaches (bit x set), which joins all of
+        i's later neighbours to x.  Paths through i survive the elimination
+        and none is invented, so when i comes up its mask holds exactly the
+        later vertices of its component; the last vertex of each component
+        finds none, and the count is the number of such vertices.  Rows run in
+        blocks of at most _CHUNK rows, fewer when their masks would pass
+        _CHUNK * (n + m) bytes, and each block's arrays are freed before the
+        next block's are made.
         """
-        words = np.asarray(words, dtype=np.uint64)
+        words = np.asarray(words)
+        if not np.issubdtype(words.dtype, np.integer):
+            raise ValueError(f"word matrix must have an integer dtype, not {words.dtype}")
         if words.ndim != 2 or words.shape[1] * _WORD < self.m:
             raise ValueError(f"need a (rows, {-(-self.m // _WORD)}) word matrix")
-        rows = words.shape[0]
-        ends = [(u, v) for _, u, v, _ in self.edges()]
-        dtype = np.min_scalar_type(max(self.n - 1, 0))
-        ids = np.arange(self.n, dtype=dtype)[:, None]
-        out = np.empty(rows, dtype=np.int64)
-        for lo in range(0, rows, _CHUNK):
-            block = words[lo : lo + _CHUNK].astype("<u8")
-            size = block.shape[0]
-            octets = np.ascontiguousarray(block.view(np.uint8).T)  # row i: bits 8i..8i+7
-            drop = np.empty((self.m, size), dtype=dtype)
-            for j in range(self.m):
-                np.bitwise_and(octets[j >> 3] >> (j & 7), 1, out=drop[j])
-            drop -= 1  # kept: 0, dropped: all ones
-            lab = np.repeat(ids, size, axis=1)
-            tmp = np.empty(size, dtype=dtype)
-            total = -1
-            order = list(enumerate(ends))
-            while True:
-                for j, (u, v) in order:
-                    np.bitwise_or(lab[u], drop[j], out=tmp)
-                    np.minimum(lab[v], tmp, out=lab[v])
-                    np.bitwise_or(lab[v], drop[j], out=tmp)
-                    np.minimum(lab[u], tmp, out=lab[u])
-                now = int(lab.sum(dtype=np.int64))
-                if now == total:
-                    break
-                total = now
-                order.reverse()
-            out[lo : lo + _CHUNK] = (lab == ids).sum(axis=0)
+        if self._schedule is None:
+            self._schedule = _elimination_schedule(self.n, [(u, v) for _, u, v, _ in self.edges()])
+        plan = self._schedule
+        row_bytes = self.n * plan.words * plan.dtype.itemsize
+        step = max(1, min(_CHUNK, _CHUNK * (self.n + self.m) // max(row_bytes, 1)))
+        out = np.empty(words.shape[0], dtype=np.int64)
+        for lo in range(0, words.shape[0], step):
+            out[lo : lo + step] = self._block_counts(plan, words[lo : lo + step])
         return out
+
+    def _block_counts(self, plan: "_Elimination", words: np.ndarray) -> np.ndarray:
+        """component_counts of one block of rows, in one elimination pass."""
+        n, bits, size = self.n, plan.dtype.itemsize * 8, words.shape[0]
+        block = np.ascontiguousarray(words, dtype="<u8")
+        cols = np.ascontiguousarray(block.view(plan.dtype).T)  # row c: bits c*bits..
+        masks = np.zeros((n, plan.words, size), dtype=plan.dtype)
+        tmp = np.empty(size, dtype=plan.dtype)
+        for j, (u, v) in enumerate(plan.ends):
+            t, s = j % bits, v % bits  # edge j kept: bit t of its column, bit s of u's mask
+            np.bitwise_and(cols[j // bits], 1 << t, out=tmp)
+            if s < t:
+                np.right_shift(tmp, t - s, out=tmp)
+            else:
+                np.multiply(tmp, 1 << (s - t), out=tmp)  # faster than a left shift
+            np.bitwise_or(masks[u, v // bits], tmp, out=masks[u, v // bits])
+        count = np.full(size, n, dtype=np.min_scalar_type(n))
+        part = np.empty((plan.words, size), dtype=plan.dtype)
+        for i, later, word, shift, reach in plan.fills:
+            flags = masks[i, word]
+            np.right_shift(flags, shift, out=flags)
+            np.bitwise_and(flags, 1, out=flags)
+            np.negative(flags, out=flags)  # all ones where i reaches x
+            for x, flag in zip(later, flags):
+                np.bitwise_and(masks[i], flag, out=part)
+                np.bitwise_or(masks[x], part, out=masks[x])
+            np.bitwise_and(masks[i], reach, out=part)
+            np.subtract(count, part.any(axis=0), out=count)
+        return count
 
     def is_connected(self) -> bool:
         return self.n <= 1 or self.component_count() == 1
@@ -259,17 +348,27 @@ class Graph:
         outside = tuple(sorted(set(range(self.n)) - set(side)))
         return min(inside, outside)
 
+    def _scaled_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """(ids, ends, weights, scale), edges in stored order: ids, (m, 2)
+        endpoints, and the weights times the LCM of their denominators, exact
+        integers; int64 while twice the scaled total stays below 2^62 (so any
+        sum of entries fits), Python ints beyond."""
+        scale = math.lcm(*(w.denominator for _, _, w in self._edges.values()))
+        ints = [w.numerator * (scale // w.denominator) for _, _, w in self._edges.values()]
+        ends = [(u, v) for u, v, _ in self._edges.values()]
+        return (
+            np.array(list(self._edges), dtype=np.intp),
+            np.array(ends, dtype=np.intp).reshape(-1, 2),
+            np.array(ints, dtype=_exact_dtype(sum(ints).bit_length())),
+            scale,
+        )
+
     def scaled_adjacency(self) -> tuple[np.ndarray, int]:
-        """(A, scale): symmetric n x n weights times the LCM of their
-        denominators, exact integers; int64 while twice the scaled total
-        stays below 2^62 (so any sum of entries fits), Python ints beyond."""
-        edges = list(self._edges.values())
-        scale = math.lcm(*(w.denominator for _, _, w in edges))
-        ints = [w.numerator * (scale // w.denominator) for _, _, w in edges]
-        dtype = _exact_dtype(sum(ints).bit_length())
-        ends = np.array([(u, v) for u, v, _ in edges], dtype=np.intp).reshape(-1, 2)
-        A = np.zeros((self.n, self.n), dtype=dtype)
-        np.add.at(A, (ends[:, 0], ends[:, 1]), np.array(ints, dtype=dtype))
+        """(A, scale): symmetric n x n sums of the scaled edge weights
+        (_scaled_weights), int64 or Python ints by the same rule."""
+        _, ends, ints, scale = self._scaled_weights()
+        A = np.zeros((self.n, self.n), dtype=ints.dtype)
+        np.add.at(A, (ends[:, 0], ends[:, 1]), ints)
         return A + A.T, scale
 
     def _stoer_wagner(self) -> tuple[Fraction, tuple]:
@@ -304,34 +403,36 @@ class Graph:
         """All distinct cut edge sets, one component at a time.
 
         For each component the pinned smallest vertex stays on one side, so
-        each vertex bipartition is visited once.  Distinct bipartitions with
-        the same crossing edge set are reported once, keyed by the edge set.
-        Returns a list of (edge_ids frozenset, side frozenset, value) sorted
-        by (value, sorted side).
+        each vertex bipartition is visited once: side number b holds the pin
+        and the i-th other vertex when bit i of b is set, for every b but the
+        whole component.  No two sides share a crossing edge set: two sides
+        through the pin cross the same edges only when their symmetric
+        difference is a union of components, and inside one component that
+        leaves only equal sides.  The sides of a component are one boolean
+        matrix, their crossing edges one comparison of its endpoint columns,
+        and their values integer sums of _scaled_weights().  Returns a list of
+        (edge_ids frozenset, side frozenset, value) sorted by (value, sorted
+        side).
         """
         if self.n > max_vertices:
             raise ValueError(f"cut enumeration capped at {max_vertices} vertices")
-        out: dict[frozenset, tuple[Fraction, frozenset]] = {}
+        ids, ends, ints, scale = self._scaled_weights()
+        cuts = []
         for comp in self.components():
-            if len(comp) < 2:
+            r = len(comp) - 1
+            if r < 1:
                 continue
-            pin, rest = comp[0], comp[1:]
-            for bits in range(1 << len(rest)):
-                if bits == (1 << len(rest)) - 1:
-                    continue  # side == whole component
-                side = {pin}
-                for i, v in enumerate(rest):
-                    if (bits >> i) & 1:
-                        side.add(v)
-                eids = self.crossing_edges(side)
-                if eids in out:
-                    continue
-                value = sum((self._edges[e][2] for e in eids), Fraction(0))
-                out[eids] = (value, frozenset(side))
-        return sorted(
-            ((eids, side, value) for eids, (value, side) in out.items()),
-            key=lambda t: (t[2], tuple(sorted(t[1]))),
-        )
+            bits = np.arange((1 << r) - 1)
+            member = np.zeros((bits.size, self.n), dtype=bool)
+            member[:, comp[0]] = True
+            member[:, comp[1:]] = (bits[:, None] >> np.arange(r)) & 1
+            cross = member[:, ends[:, 0]] != member[:, ends[:, 1]]
+            cuts.extend(zip((cross @ ints).tolist(), _row_lists(member), _row_lists(cross, ids)))
+        cuts.sort(key=lambda t: t[:2])  # (value, sorted side); sides are distinct
+        return [
+            (frozenset(eids), frozenset(side), Fraction(value, scale))
+            for value, side, eids in cuts
+        ]
 
     # -- girth and cycles ----------------------------------------------------
 

@@ -81,9 +81,12 @@ class QueryLedger:
         self._count = 0
 
     def add_query(self):
+        self.add_queries(1)
+
+    def add_queries(self, count: int):
         if self._open is None:
             raise LedgerError("no open round")
-        self._count += 1
+        self._count += count
 
     def end_round(self) -> tuple[str, int]:
         if self._open is None:
@@ -192,12 +195,11 @@ class OracleSession:
         """
         rows = np.asarray(rows)
         width = len(self.elements())
-        if rows.ndim != 2 or rows.shape[1] != width or not np.isin(rows, (0, 1)).all():
+        if rows.ndim != 2 or rows.shape[1] != width or not ((rows == 0) | (rows == 1)).all():
             raise ValueError(f"need a (queries, {width}) 0/1 matrix over elements()")
         rows = rows.astype(np.uint8, copy=False)
         self.ledger.begin_round(label)
-        for _ in range(rows.shape[0]):
-            self.ledger.add_query()
+        self.ledger.add_queries(rows.shape[0])
         answers = self._answers(rows)
         self.ledger.end_round()
         return answers

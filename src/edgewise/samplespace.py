@@ -128,6 +128,21 @@ def _span_into(out: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _all_set(words: np.ndarray, positions) -> np.ndarray:
+    """Boolean row mask of word rows: every listed position is 1 (true for
+    no positions).  One mask test per octet the positions touch."""
+    by_octet: dict[int, int] = {}
+    for p in positions:
+        by_octet[p >> 3] = by_octet.get(p >> 3, 0) | (1 << (p & 7))
+    if 8 * words.shape[1] <= max(by_octet, default=0):
+        raise ValueError("coordinate outside the word matrix")
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    out = np.ones(words.shape[0], dtype=bool)
+    for o, mask in by_octet.items():
+        out &= (octets[:, o] & mask) == mask
+    return out
+
+
 def _unpack_words(words: np.ndarray, n_positions: int) -> np.ndarray:
     """(rows, n_positions) 0/1 uint8 matrix of the leading coordinates of word rows."""
     octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
@@ -335,18 +350,17 @@ class GroupedSpace(SampleSpace):
         return self._and_groups(self.underlying._seed_words(seeds))
 
     def _and_groups(self, base: np.ndarray) -> np.ndarray:
-        """Output word rows from underlying word rows."""
-        out = np.zeros((base.shape[0], _words(len(self.groups))), dtype=np.uint64)
-        one = np.uint64(1)
+        """Output word rows from underlying word rows: each group is one
+        all-set test per octet it touches, its verdict ORed into its output
+        bit; the complement flips every output bit at the end."""
+        octets = np.zeros((base.shape[0], 8 * _words(len(self.groups))), dtype=np.uint8)
         for i, grp in enumerate(self.groups):
-            bit = np.ones(base.shape[0], dtype=np.uint64)
-            for p in grp:
-                w, off = divmod(p, _WORD)
-                bit &= (base[:, w] >> np.uint64(off)) & one
-            if self.params.complemented:
-                bit ^= one
-            w, off = divmod(i, _WORD)
-            out[:, w] |= bit << np.uint64(off)
+            bit = _all_set(base, grp).view(np.uint8)
+            np.multiply(bit, 1 << (i & 7), out=bit)
+            np.bitwise_or(octets[:, i >> 3], bit, out=octets[:, i >> 3])
+        out = octets.view("<u8").astype(np.uint64, copy=False)
+        if self.params.complemented:
+            out ^= _pack_words(np.ones(len(self.groups), dtype=bool))
         return out
 
     def _pattern_counts(self, subsets: np.ndarray) -> np.ndarray:

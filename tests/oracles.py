@@ -343,3 +343,90 @@ def greedy_partition_reference(
             )
         a *= 2
     raise RuntimeError(f"no valid clustering within {max_doublings} alpha doublings")
+
+
+def label_propagation_counts(g: Graph, words, chunk: int = 1 << 15) -> np.ndarray:
+    """Component counts per word row by min-label propagation.
+
+    Each vertex starts with its own label and every kept edge lowers both
+    endpoints to the smaller one.  A dropped edge is an all-ones mask, so each
+    update is min(lab[u], lab[v] | drop).  Sweeps alternate direction until no
+    label changes; a component then has exactly one vertex still holding its
+    own label.  Bits at or beyond m are ignored.
+    """
+    words = np.asarray(words, dtype=np.uint64)
+    rows = words.shape[0]
+    ends = [(u, v) for _, u, v, _ in g.edges()]
+    dtype = np.min_scalar_type(max(g.n - 1, 0))
+    ids = np.arange(g.n, dtype=dtype)[:, None]
+    out = np.empty(rows, dtype=np.int64)
+    for lo in range(0, rows, chunk):
+        block = words[lo : lo + chunk].astype("<u8")
+        size = block.shape[0]
+        octets = np.ascontiguousarray(block.view(np.uint8).T)  # row i: bits 8i..8i+7
+        drop = np.empty((g.m, size), dtype=dtype)
+        for j in range(g.m):
+            np.bitwise_and(octets[j >> 3] >> (j & 7), 1, out=drop[j])
+        drop -= 1  # kept: 0, dropped: all ones
+        lab = np.repeat(ids, size, axis=1)
+        tmp = np.empty(size, dtype=dtype)
+        total = -1
+        order = list(enumerate(ends))
+        while True:
+            for j, (u, v) in order:
+                np.bitwise_or(lab[u], drop[j], out=tmp)
+                np.minimum(lab[v], tmp, out=lab[v])
+                np.bitwise_or(lab[v], drop[j], out=tmp)
+                np.minimum(lab[u], tmp, out=lab[u])
+            now = int(lab.sum(dtype=np.int64))
+            if now == total:
+                break
+            total = now
+            order.reverse()
+        out[lo : lo + chunk] = (lab == ids).sum(axis=0)
+    return out
+
+
+def loop_enumerate_cuts(g: Graph, max_vertices: int = 20):
+    """Graph.enumerate_cuts by one crossing_edges scan and one Fraction sum
+    per side, deduplicated by edge set (first side in bits order kept), and
+    sorted by (Fraction value, sorted side)."""
+    if g.n > max_vertices:
+        raise ValueError(f"cut enumeration capped at {max_vertices} vertices")
+    out: dict[frozenset, tuple[Fraction, frozenset]] = {}
+    for comp in g.components():
+        if len(comp) < 2:
+            continue
+        pin, rest = comp[0], comp[1:]
+        for bits in range(1 << len(rest)):
+            if bits == (1 << len(rest)) - 1:
+                continue  # side == whole component
+            side = {pin}
+            for i, v in enumerate(rest):
+                if (bits >> i) & 1:
+                    side.add(v)
+            eids = g.crossing_edges(side)
+            if eids in out:
+                continue
+            value = sum((g.weight(e) for e in eids), Fraction(0))
+            out[eids] = (value, frozenset(side))
+    return sorted(
+        ((eids, side, value) for eids, (value, side) in out.items()),
+        key=lambda t: (t[2], tuple(sorted(t[1]))),
+    )
+
+
+def loop_union_bound_floor(cuts, order, space: SampleSpace) -> Fraction:
+    """The union-bound floor by one Fraction product per cut."""
+    pos = {eid: j for j, eid in enumerate(order)}
+    marg = space.coordinate_marginals()
+    k = space.params.k
+    total_fail = Fraction(0)
+    for eids, _, _ in cuts:
+        drops = sorted(1 - marg[pos[e]] for e in eids)[: min(k, len(eids))]
+        pr = Fraction(1)
+        for q in drops:
+            pr *= q
+        total_fail += pr + space.params.delta
+    floor = 1 - total_fail
+    return floor if floor > 0 else Fraction(0)

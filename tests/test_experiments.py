@@ -27,13 +27,15 @@ from edgewise.experiments import (
 from edgewise.graph import Graph
 from edgewise.samplespace import (
     SupportTooLargeError,
+    almost_builder,
     build_almost_kwise,
     build_kwise,
     exact_builder,
+    group_heterogeneous,
     with_marginal,
 )
 from edgewise.spectral import edge_form_checker, leverage_scores, sparsify_rates, spectral_approx_check
-from oracles import word_ints
+from oracles import loop_union_bound_floor, word_ints
 
 HALF = Fraction(1, 2)
 
@@ -406,6 +408,37 @@ def test_union_bound_floor_clamps_at_zero():
     g = gen_graph("cycle", {"length": 4})
     floor = union_bound_component_floor(g, build_kwise(4, 2))
     assert floor == 0
+
+
+def floor_spaces(m):
+    """Spaces over m coordinates with every marginal kind the floor reads."""
+    sizes = [(j * 5) % 4 for j in range(m)]  # group sizes 0..3, empty groups included
+    yield with_marginal(exact_builder, m, 2, 0, 2)
+    yield with_marginal(exact_builder, m, 3, 0, 3, complemented=True)
+    yield group_heterogeneous(build_kwise(sum(sizes), 9), sizes, 3, Fraction(0))
+    yield group_heterogeneous(build_kwise(sum(sizes), 6), sizes, 2, Fraction(0), complemented=True)
+    yield build_almost_kwise(m, 8, Fraction(1, 8))  # delta > 0, k above most cut sizes
+    yield with_marginal(almost_builder, m, 3, Fraction(1, 16), 2, complemented=True)
+
+
+def test_union_bound_floor_matches_per_cut_loop():
+    graphs = [
+        gen_graph("cycle", {"length": 6}),
+        gen_graph("multi_cycle", {"length": 3, "copies": 3}),
+        gen_graph("theta", {"lengths": [2, 3, 3]}),
+        gen_graph("complete", {"vertices": 5}),
+        Graph(7, [(0, 1), (1, 2), (2, 0), (0, 1), (3, 4), (4, 5), (5, 3), (5, 3)]),  # + isolated 6
+    ]
+    inside = [0] * 6
+    for g in graphs:
+        cuts = g.enumerate_cuts()
+        for i, space in enumerate(floor_spaces(g.m)):
+            floor = union_bound_component_floor(g, space)
+            assert floor == loop_union_bound_floor(cuts, g.edge_ids(), space)
+            inside[i] += 0 < floor < 1
+    # the clamp at zero hides no comparison: past the first space (drop
+    # probability 3/4 on every edge) each space has floors strictly inside (0, 1)
+    assert all(inside[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 exhaustive reference implementations."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,14 @@ import edgewise.graph as graph_module
 from edgewise.experiments import gen_graph
 from edgewise.graph import Graph
 from edgewise.reweight import reweight_min_cut
-from oracles import brute_force_cycles, brute_force_min_cut, fraction_min_cut, is_simple_cycle
+from oracles import (
+    brute_force_cycles,
+    brute_force_min_cut,
+    fraction_min_cut,
+    is_simple_cycle,
+    label_propagation_counts,
+    loop_enumerate_cuts,
+)
 
 
 def random_multigraph(seed, n_lo=4, n_hi=8, extra_parallel=2, weighted=False):
@@ -296,6 +304,169 @@ def test_component_counts_edge_cases():
     assert Graph(0).component_counts(np.zeros((1, 0), dtype=np.uint64)).tolist() == [0]
     with pytest.raises(ValueError):
         g.component_counts(np.zeros((2, 0), dtype=np.uint64))
+
+
+def ints_to_words(ints, width):
+    return np.array(
+        [[(x >> (64 * j)) & (2**64 - 1) for j in range(width)] for x in ints],
+        dtype=np.uint64,
+    ).reshape(len(ints), width)
+
+
+def kernel_graph(n, seed):
+    """Random multigraph on n vertices with parallel edges, loops (their ids
+    consumed) and, from n = 3 on, isolated vertices."""
+    rng = random.Random(seed)
+    live = list(range(n))
+    for v in rng.sample(live, n // 3):
+        live.remove(v)
+    edges = [(rng.choice(live), rng.choice(live)) for _ in range(rng.randint(0, 2 * n))] if live else []
+    edges += rng.choices(edges, k=min(len(edges), 4))
+    rng.shuffle(edges)
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 8, 9, 16, 17, 32, 33, 64, 65, 70])
+@pytest.mark.parametrize("seed", range(3))
+def test_component_counts_match_label_propagation_and_union_find(n, seed):
+    # n covers every mask dtype (8, 16, 32, 64 bits) and both sides of each
+    # width and of the one-word / multiword boundary
+    g = kernel_graph(n, seed)
+    rng = random.Random(seed)
+    width = max(1, -(-g.m // 64))
+    bits = 64 * width
+    ints = [rng.getrandbits(bits) for _ in range(24)]  # tail bits past m set too
+    ints += [rng.getrandbits(bits) & rng.getrandbits(bits) & rng.getrandbits(bits) for _ in range(12)]
+    ints += [rng.getrandbits(bits) | rng.getrandbits(bits) for _ in range(12)]
+    ints += [0, 2**bits - 1, (2**bits - 1) ^ ((1 << g.m) - 1)]  # the last keeps only tail bits
+    words = ints_to_words(ints, width)
+    want = per_row_counts(g, ints)
+    assert g.component_counts(words).tolist() == want
+    assert label_propagation_counts(g, words).tolist() == want
+    assert want[-3:] == [g.n, g.component_count(), g.n]
+    empty = np.zeros((0, width), dtype=np.uint64)
+    assert g.component_counts(empty).shape == (0,)
+    assert label_propagation_counts(g, empty).shape == (0,)
+
+
+def test_component_counts_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(0, 70))
+        vertex = st.integers(0, max(n - 1, 0))
+        edges = draw(st.lists(st.tuples(vertex, vertex), max_size=90)) if n else []
+        g = Graph(n, edges)
+        width = max(1, -(-g.m // 64))
+        ints = draw(st.lists(st.integers(0, 2 ** (64 * width) - 1), max_size=6))
+        return g, ints, width
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        g, ints, width = case
+        words = ints_to_words(ints, width)
+        want = per_row_counts(g, ints)
+        assert g.component_counts(words).tolist() == want
+        assert label_propagation_counts(g, words).tolist() == want
+
+    check()
+
+
+def test_component_counts_schedule_built_once_per_graph(monkeypatch):
+    built = []
+    real = graph_module._elimination_schedule
+
+    def counting(n, ends):
+        built.append(n)
+        return real(n, ends)
+
+    monkeypatch.setattr(graph_module, "_elimination_schedule", counting)
+    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    h = g.delete_edges([1])
+    assert built == []  # neither construction nor surgery builds it
+    words = np.array([[7], [0], [5]], dtype=np.uint64)
+    assert g.component_counts(words).tolist() == [2, 5, 3]
+    assert g.component_counts(words[:1]).tolist() == [2]
+    assert built == [5]
+    assert h.component_counts(words).tolist() == [3, 5, 4]
+    assert built == [5, 5]
+
+
+def test_elimination_schedule_is_min_degree():
+    # star centred on 0: leaves go first, so no fill appears; with one leaf
+    # left the centre ties it at degree 1 and goes first as the smaller vertex
+    star = graph_module._elimination_schedule(9, [(0, v) for v in range(1, 9)])
+    assert star.ends == tuple((v - 1, 7) for v in range(1, 8)) + ((7, 8),)
+    assert [(i, later) for i, later, *_ in star.fills] == [(p, [7]) for p in range(7)] + [(7, [8])]
+    assert (star.dtype, star.words) == (np.dtype(np.uint16), 1)
+    # path 3-1-0-2 eliminates 2, 0, 1, 3 (degree ties to the smaller vertex)
+    path = graph_module._elimination_schedule(4, [(3, 1), (1, 0), (0, 2)])
+    assert path.ends == ((2, 3), (1, 2), (0, 1))
+    assert graph_module._elimination_schedule(65, []).words == 2
+
+
+def test_component_counts_rejects_non_integer_words():
+    g = Graph(2, [(0, 1)])
+    for bad in (np.array([[1.5]]), np.array([[1.0]]), np.array([[True]]), np.array([["1"]])):
+        with pytest.raises(ValueError, match="integer dtype"):
+            g.component_counts(bad)
+    with pytest.raises(ValueError, match="word matrix"):
+        g.component_counts(np.ones(3, dtype=np.uint64))
+    assert g.component_counts(np.array([[1], [2]], dtype=np.int8)).tolist() == [1, 2]
+
+
+def test_component_counts_blocks_stay_within_budget():
+    g = Graph(300, [(i, i + 1) for i in range(299)] + [(0, 299), (17, 280)])
+    width = -(-g.m // 64)
+    rng = np.random.default_rng(3)
+    words = rng.integers(0, 2**63, size=(1 << 14, width), dtype=np.uint64)
+    words |= rng.integers(0, 2**63, size=words.shape, dtype=np.uint64) << np.uint64(1)
+    g.component_counts(words[:1])  # schedule built outside the measurement
+    tracemalloc.start()
+    try:
+        got = g.component_counts(words)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the masks of all 16384 rows (300 vertices, 5 words each) would take
+    # 197 MB; one block's masks stay within _CHUNK * (n + m) = 19.7 MB
+    assert peak < 24 * 2**20
+    assert got.tolist() == label_propagation_counts(g, words).tolist()
+
+
+def rational_multigraph(seed):
+    """Random multigraph on 0..8 vertices with rational weights, zero
+    weights and loops; every tenth one has weights whose LCM scaling
+    overflows int64 sums, so the values are Python ints."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 8)
+    weights = [0, 1, 3, Fraction(1, 3), Fraction(2, 7), Fraction(5, 2)]
+    if seed % 10 == 0:
+        weights = [Fraction(10**15, 3), Fraction(1, 7), Fraction(2, 11), Fraction(5, 13)]
+    edges = [
+        (rng.randrange(n), rng.randrange(n), rng.choice(weights))
+        for _ in range(rng.randint(0, 2 * n) if n else 0)
+    ]
+    return Graph(n, edges)
+
+
+def test_enumerate_cuts_matches_per_side_loop():
+    dtypes, disconnected = set(), 0
+    for seed in range(300):
+        g = rational_multigraph(seed)
+        cuts = g.enumerate_cuts()
+        assert cuts == loop_enumerate_cuts(g)
+        # no two sides of a component share an edge set, so nothing is deduplicated
+        assert len(cuts) == sum(2 ** (len(c) - 1) - 1 for c in g.components())
+        dtypes.add(g._scaled_weights()[2].dtype)
+        disconnected += sum(len(c) > 1 for c in g.components()) > 1
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+    assert disconnected > 20
+    for g in (Graph(0), Graph(1), Graph(1, [(0, 0)]), Graph(3, [(0, 1, 0)])):
+        assert g.enumerate_cuts() == loop_enumerate_cuts(g)
 
 
 def test_girth_known_values():

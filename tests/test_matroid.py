@@ -172,9 +172,60 @@ def test_ledger_misuse_raises():
         led.end_round()
     with pytest.raises(LedgerError):
         led.add_query()
+    with pytest.raises(LedgerError):
+        led.add_queries(3)
     led.begin_round("x")
     with pytest.raises(LedgerError):
         led.begin_round("y")
+
+
+def test_ledger_add_queries_bills_the_open_round():
+    led = QueryLedger()
+    led.begin_round("batch")
+    led.add_queries(5)
+    led.add_query()
+    led.add_queries(0)
+    assert led.end_round() == ("batch", 6)
+    assert led.total_queries == 6
+
+
+def test_ledger_totals_equal_round_counts_across_session_calls():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # (op, seed): query one subset, run a round of several, or try a contraction
+    ops = st.lists(st.tuples(st.sampled_from(["query", "round", "contract"]), st.integers(0, 2**32)),
+                   max_size=12)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, 40), st.sampled_from([GRAPHIC, COGRAPHIC]), ops)
+    def check(graph_seed, kind, steps):
+        s = OracleSession(random_multigraph(graph_seed), kind)
+        billed = []  # (label, count) of every round the calls should have opened
+        for op, seed in steps:
+            rng = random.Random(seed)
+            elems = s.elements()
+            if op == "query":
+                s.query({e for e in elems if rng.random() < 0.5})
+                billed.append(("adhoc", 1))
+            elif op == "round":
+                sets = [{e for e in elems if rng.random() < 0.5} for _ in range(rng.randint(0, 5))]
+                answers = s.run_round("batch", s.query_rows(sets))
+                assert len(answers) == len(sets)
+                billed.append(("batch", len(sets)))
+            elif elems:
+                try:
+                    s.contract({rng.choice(elems)})  # bills nothing, answered or refused
+                except ValueError:
+                    pass
+        assert s.ledger.rounds == billed
+        assert s.ledger.total_rounds == len(billed)
+        assert s.ledger.total_queries == sum(c for _, c in billed)
+        assert s.ledger.to_dict()["total_queries"] == sum(
+            sum(phase["rounds"]) for phase in s.ledger.to_dict()["phases"]
+        )
+
+    check()
 
 
 # -- oracle sessions -----------------------------------------------------------
@@ -206,11 +257,15 @@ def test_session_run_round_validates_before_opening():
         s.run_round("bad", s.query_rows([{1}, {9}]))
     with pytest.raises(ValueError, match="matrix"):
         s.run_round("bad", [[1, 0, 1]])  # three columns over two elements
-    with pytest.raises(ValueError, match="matrix"):
-        s.run_round("bad", [[2, 0]])
+    for bad in ([[2, 0]], [[0.5, 1]], [[-1, 0]], [["1", "0"]]):
+        with pytest.raises(ValueError, match=r"need a \(queries, 2\) 0/1 matrix over elements\(\)"):
+            s.run_round("bad", bad)
     # the failed batch must not have opened or counted a round
     assert s.ledger.total_rounds == 0
     assert s.ledger.total_queries == 0
+    # any dtype holding only 0 and 1 is a query matrix
+    assert s.run_round("good", [[True, False], [1.0, 1.0]]).tolist() == [True, True]
+    assert s.ledger.rounds == [("good", 2)]
 
 
 def test_session_contract_changes_answers():

@@ -179,6 +179,41 @@ def test_heterogeneous_groups():
     assert verify_independence(space, k_check=2).max_tv == 0
 
 
+# sha256 of support_words() bytes (little-endian uint64 rows), recorded from
+# the per-position shift-and-AND construction this one replaced
+GROUPED_SUPPORT_SHA256 = {
+    "marginal(5,3,L=2)": "24a86bd3be77245bcc871b1537e2570c28cc9fc7a5f7f3a4389a13c39a82e822",
+    "complemented(6,2,L=2)": "a9a2f4a8ac91730f71b22e91f7bed5faef7c82782d1fa770aeab39f00361a202",
+    "heterogeneous-empty-group": "d894f4828ab5ac0fa8cacaae6df98fcecbd7774ba9b38559ea6494b1fd1217d5",
+    "heterogeneous-straddling-word": "fcf9a09d7b3168c585112a28de421addabbcddf46121b772f4a34cc23aa5d9d1",
+}
+
+
+def grouped_space(name):
+    if name == "marginal(5,3,L=2)":
+        return with_marginal(exact_builder, 5, 3, 0, 2)
+    if name == "complemented(6,2,L=2)":
+        return with_marginal(exact_builder, 6, 2, 0, 2, complemented=True)
+    if name == "heterogeneous-empty-group":
+        return group_heterogeneous(build_kwise(6, 6), [2, 0, 1, 3], 2, Fraction(0))
+    # 68 output bits over two words; group 63 takes underlying positions
+    # 63..65, across the first word boundary
+    under = build_almost_kwise(70, 4, Fraction(1, 4))
+    return group_heterogeneous(under, [1] * 63 + [3] + [1] * 4, 1, Fraction(1, 4), complemented=True)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPED_SUPPORT_SHA256))
+def test_grouped_support_bytes_pinned(name):
+    space = grouped_space(name)
+    words = space.support_words()
+    assert words.shape[1] == -(-space.params.n // 64)
+    digest = hashlib.sha256(np.ascontiguousarray(words, dtype="<u8").tobytes()).hexdigest()
+    assert digest == GROUPED_SUPPORT_SHA256[name]
+    # the sampled path ANDs the same groups
+    seeds = [0, 1, space.support_size - 1]
+    assert word_ints(space._seed_words(seeds)) == word_ints(words[seeds])
+
+
 def test_heterogeneous_size_mismatch():
     under = build_kwise(5, 2)
     with pytest.raises(ValueError):
