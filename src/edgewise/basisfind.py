@@ -27,7 +27,7 @@ from math import ceil, comb, floor, log2
 
 import numpy as np
 
-from .matroid import COGRAPHIC, GRAPHIC, OracleSession, ind_cographic, ind_graphic
+from .matroid import COGRAPHIC, GRAPHIC, OracleSession, _rank
 from .samplespace import (
     DEFAULT_ENUM_BUDGET,
     SupportTooLargeError,
@@ -361,9 +361,7 @@ def find_large_independent_set(
             )
     k = constants.k_flis(m)
     if session.kind == GRAPHIC:
-        space = build_almost_kwise(
-            len(elems), k, constants.flis_delta(m), budget=constants.enum_budget
-        )
+        space = build_almost_kwise(len(elems), k, constants.flis_delta(m))
     else:
         space = build_kwise(len(elems), k)
     words = mode_words(space, mode, constants.enum_budget, sample_count, seed)
@@ -496,9 +494,8 @@ def find_basis(
         trace.append({"outer": outer, "sweep": sweep_steps, "harvested": len(got)})
 
     basis = set(session.contracted)
-    base_ind = ind_graphic if kind == GRAPHIC else ind_cographic
     fresh = OracleSession(session.graph, kind)
-    verified = base_ind(session.graph, basis) and len(basis) == fresh.rank()
+    verified = _rank(session.graph, kind, basis) == len(basis) == fresh.rank()
 
     ledger = session.ledger.to_dict()
     ledger["ground_size"] = m

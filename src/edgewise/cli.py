@@ -122,33 +122,9 @@ def _emit_report(args, report):
 def _cmd_gen(args):
     g, label = _graph_from_args(args)
     payload = g.to_json() if args.json else g.to_text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload if payload.endswith("\n") else payload + "\n")
-    else:
-        sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
+    _emit(args, payload.removesuffix("\n"))
     summary = dict(graph_summary(g), generator=label)
     sys.stderr.write(json.dumps(summary, sort_keys=True) + "\n")
-    return 0
-
-
-def _cmd_connectivity(args):
-    g, label = _graph_from_args(args)
-    space = _space_from_args(g.m, args)
-    report = connectivity_experiment(
-        g, space, generator=label, budget=args.budget, **_mode_kwargs(args)
-    )
-    _emit_report(args, report)
-    return 0
-
-
-def _cmd_cyclefree(args):
-    g, label = _graph_from_args(args)
-    space = _space_from_args(g.m, args)
-    report = cyclefree_experiment(
-        g, space, generator=label, budget=args.budget, **_mode_kwargs(args)
-    )
-    _emit_report(args, report)
     return 0
 
 
@@ -156,59 +132,41 @@ def _parse_edges(text):
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-def _cmd_unique_cut(args):
+def _cmd_experiment(args):
+    """A rate experiment over a graph's edges; --edges names a target set."""
     g, label = _graph_from_args(args)
     space = _space_from_args(g.m, args)
-    report = unique_cut_survival_experiment(
-        g, _parse_edges(args.edges), space,
-        generator=label, budget=args.budget, **_mode_kwargs(args),
+    target = () if getattr(args, "edges", None) is None else (_parse_edges(args.edges),)
+    report = args.experiment(
+        g, *target, space, generator=label, budget=args.budget, **_mode_kwargs(args)
     )
     _emit_report(args, report)
     return 0
 
 
-def _cmd_unique_cycle(args):
-    g, label = _graph_from_args(args)
-    space = _space_from_args(g.m, args)
-    report = unique_cycle_survival_experiment(
-        g, _parse_edges(args.edges), space,
-        generator=label, budget=args.budget, **_mode_kwargs(args),
-    )
-    _emit_report(args, report)
-    return 0
+# (name, parse, default) of each pipeline knob: an explicit flag wins over a
+# --constants file, which wins over the default
+_PIPELINE_KNOBS = (
+    ("k", int, 2),
+    ("epsilon", float, 0.5),
+    ("delta", float, 0.25),
+    ("rate_scale", float, 1.0),
+    ("max_level", int, 20),
+)
 
 
-def _cmd_sparsify(args):
-    g, label = _graph_from_args(args)
-    knobs = _constants_file(args)
-    report = sparsify_experiment(
-        g,
-        args.k if args.k is not None else int(knobs.get("k", 2)),
-        args.epsilon if args.epsilon is not None else float(knobs.get("epsilon", 0.5)),
-        float(Fraction(args.delta)) if args.delta is not None else float(knobs.get("delta", 0.25)),
-        rate_scale=args.rate_scale if args.rate_scale is not None else float(knobs.get("rate_scale", 1.0)),
-        max_level=args.max_level if args.max_level is not None else int(knobs.get("max_level", 20)),
-        generator=label,
-        budget=args.budget,
-        **_mode_kwargs(args),
-    )
-    _emit_report(args, report)
-    return 0
-
-
-def _cmd_reweight(args):
+def _cmd_pipeline(args):
     g, label = _graph_from_args(args)
     knobs = _constants_file(args)
-    report = reweight_then_connectivity(
-        g,
-        args.k if args.k is not None else int(knobs.get("k", 2)),
-        epsilon=args.epsilon if args.epsilon is not None else float(knobs.get("epsilon", 0.5)),
-        delta=float(Fraction(args.delta)) if args.delta is not None else float(knobs.get("delta", 0.25)),
-        rate_scale=args.rate_scale if args.rate_scale is not None else float(knobs.get("rate_scale", 1.0)),
-        max_level=args.max_level if args.max_level is not None else int(knobs.get("max_level", 20)),
-        generator=label,
-        budget=args.budget,
-        **_mode_kwargs(args),
+    given = dict(vars(args))
+    if args.delta is not None:
+        given["delta"] = Fraction(args.delta)  # a rate such as 1/4 or 0.25
+    values = {
+        name: parse(knobs.get(name, default) if given[name] is None else given[name])
+        for name, parse, default in _PIPELINE_KNOBS
+    }
+    report = args.pipeline(
+        g, generator=label, budget=args.budget, **values, **_mode_kwargs(args)
     )
     _emit_report(args, report)
     return 0
@@ -292,22 +250,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_gen)
 
-    for name, fn in (("connectivity", _cmd_connectivity), ("cyclefree", _cmd_cyclefree)):
-        p = sub.add_parser(name, help=f"{name} rate experiment")
+    experiments = (
+        ("connectivity", "rate", connectivity_experiment),
+        ("cyclefree", "rate", cyclefree_experiment),
+        ("unique-cut", "survival", unique_cut_survival_experiment),
+        ("unique-cycle", "survival", unique_cycle_survival_experiment),
+    )
+    for name, what, experiment in experiments:
+        p = sub.add_parser(name, help=f"{name} {what} experiment")
         _add_graph_flags(p)
         _add_space_flags(p)
         _add_run_flags(p)
-        p.set_defaults(fn=fn)
+        if what == "survival":
+            p.add_argument("--edges", required=True, help="target edge ids, comma-separated")
+        p.set_defaults(fn=_cmd_experiment, experiment=experiment)
 
-    for name, fn in (("unique-cut", _cmd_unique_cut), ("unique-cycle", _cmd_unique_cycle)):
-        p = sub.add_parser(name, help=f"{name} survival experiment")
-        _add_graph_flags(p)
-        _add_space_flags(p)
-        _add_run_flags(p)
-        p.add_argument("--edges", required=True, help="target edge ids, comma-separated")
-        p.set_defaults(fn=fn)
-
-    for name, fn in (("sparsify", _cmd_sparsify), ("reweight", _cmd_reweight)):
+    for name, pipeline in (("sparsify", sparsify_experiment), ("reweight", reweight_then_connectivity)):
         p = sub.add_parser(name, help=f"{name} experiment")
         _add_graph_flags(p)
         _add_run_flags(p)
@@ -318,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-level", type=int, default=None, dest="max_level")
         p.add_argument("--constants", default=None,
                        help="JSON file of default knobs; explicit flags win")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_pipeline, pipeline=pipeline)
 
     p = sub.add_parser("find-basis", help="derandomized basis finding")
     _add_graph_flags(p)

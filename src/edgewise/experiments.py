@@ -33,6 +33,7 @@ from .samplespace import (
     SampleSpace,
     _all_set,
     _pack_words,
+    _unpack_words,
     build_kwise,
     group_heterogeneous,
     mode_words,
@@ -332,16 +333,6 @@ def _row_to_int(words: np.ndarray, i: int) -> int:
     return v
 
 
-def _bit_matrix(words: np.ndarray, n: int) -> np.ndarray:
-    """(rows, n) float matrix of the coordinate bits."""
-    out = np.empty((words.shape[0], n))
-    one = np.uint64(1)
-    for j in range(n):
-        w, off = divmod(j, _WORD)
-        out[:, j] = ((words[:, w] >> np.uint64(off)) & one).astype(np.float64)
-    return out
-
-
 def _kept_ids(vector: int, order: Sequence[int]) -> list[int]:
     return [eid for j, eid in enumerate(order) if (vector >> j) & 1]
 
@@ -465,9 +456,16 @@ def _union_bound_floor(cuts, order: Sequence[int], space: SampleSpace) -> Fracti
 # -- the experiments -----------------------------------------------------------
 
 
-def _components_kept(g: Graph, words: np.ndarray, order: Sequence[int], cuts):
-    """Rows whose kept edges leave the components of g intact, and the
-    witness reason: the first fully dropped cut when the cuts are listed."""
+def _components_kept(g: Graph, words: np.ndarray, order: Sequence[int], space):
+    """Rows whose kept edges leave the components of g intact, the witness
+    reason, the union-bound floor and the cut list.  Cuts are listed when g
+    has at most 20 vertices; a witness then names its first fully dropped
+    cut, else the floor is 0.  No space (the all-ones row) has floor 1."""
+    cuts = g.enumerate_cuts() if g.n <= 20 else None
+    if space is None:
+        floor = Fraction(1)
+    else:
+        floor = Fraction(0) if cuts is None else _union_bound_floor(cuts, order, space)
     ok = g.component_counts(words) == g.component_count()
     pos = {eid: j for j, eid in enumerate(order)}
 
@@ -477,7 +475,7 @@ def _components_kept(g: Graph, words: np.ndarray, order: Sequence[int], cuts):
         eids = _first_kept((c for c, _, _ in cuts), pos, ~vec)
         return f"cut {sorted(eids)} fully dropped"
 
-    return ok, reason
+    return ok, reason, floor, cuts
 
 
 def connectivity_experiment(
@@ -500,9 +498,7 @@ def connectivity_experiment(
     """
     order = _check_space_matches(g, space)
     words = mode_words(space, mode, budget, trials, seed)
-    cuts = g.enumerate_cuts() if g.n <= 20 else None
-    floor = Fraction(0) if cuts is None else _union_bound_floor(cuts, order, space)
-    ok, reason = _components_kept(g, words, order, cuts)
+    ok, reason, floor, cuts = _components_kept(g, words, order, space)
     m = len(order)
     k_full = 2 * max(1, math.ceil(math.log2(max(m, 2))))
     return _report(
@@ -710,27 +706,23 @@ def _dyadic_floor(p: Fraction, max_level: int) -> int:
     return level
 
 
-def _heterogeneous_space(levels: Sequence[int], k: int):
-    """Exact k-wise space whose coordinate i has marginal 2^-levels[i].
+def _rate_space(rates: Mapping, order: Sequence[int], k: int, max_level: int,
+                mode: str, trials, seed: int, budget):
+    """(levels, space, words, descriptor) for per-edge keep rates.
 
-    Returns None when every level is 0 (all rates clamped to 1): sampling
-    is degenerate and the caller short-circuits.
+    Each rate is rounded down to 2^-level, and the space is an exact k-wise
+    space whose coordinate i has marginal 2^-levels[i].  When every level is
+    0 (all rates clamped to 1) the space is None and its words are the single
+    all-ones row.
     """
-    total = sum(levels)
-    if total == 0:
-        return None
-    underlying = build_kwise(total, k * max(levels))
-    return group_heterogeneous(underlying, list(levels), k, Fraction(0))
-
-
-def _rate_space_words(space, m: int, k: int, mode: str, trials, seed, budget):
-    """(words, descriptor, independence order) of a rate space; None, the
-    all-rates-one space, is the single all-ones row."""
-    if space is None:
+    m = len(order)
+    levels = [_dyadic_floor(Fraction(rates[eid]), max_level) for eid in order]
+    if sum(levels) == 0:
         descriptor = {"construction": "constant_ones", "n": m, "seed_bits": 0}
-        return _pack_words(np.ones((1, m), dtype=np.uint8)), descriptor, k
-    words = mode_words(space, mode, budget, trials, seed)
-    return words, space.descriptor(), space.params.k
+        return levels, None, _pack_words(np.ones((1, m), dtype=np.uint8)), descriptor
+    underlying = build_kwise(sum(levels), k * max(levels))
+    space = group_heterogeneous(underlying, levels, k, Fraction(0))
+    return levels, space, mode_words(space, mode, budget, trials, seed), space.descriptor()
 
 
 def sparsify_experiment(
@@ -762,21 +754,16 @@ def sparsify_experiment(
     m = len(order)
     table = leverage_scores(g)
     plan = sparsify_rates(g, table, k, epsilon, delta, rate_scale)
-    levels = []
-    rounded: dict[int, Fraction] = {}
-    for eid in order:
-        lv = _dyadic_floor(Fraction(plan.rates[eid]), max_level)
-        levels.append(lv)
-        rounded[eid] = Fraction(1, 1 << lv)
-
-    space = _heterogeneous_space(levels, k)
-    words, descriptor, space_k = _rate_space_words(space, m, k, mode, trials, seed, budget)
+    levels, space, words, descriptor = _rate_space(
+        plan.rates, order, k, max_level, mode, trials, seed, budget
+    )
+    rounded = {eid: Fraction(1, 1 << lv) for eid, lv in zip(order, levels)}
     n_rows = words.shape[0]
 
     checker = edge_form_checker(g, epsilon)
     wtilde = np.array([float(g.weight(eid) / rounded[eid]) for eid in order])
     kept_counts = _row_popcounts(words, m)
-    weight_rows = _bit_matrix(words, m) * wtilde[None, :]
+    weight_rows = _unpack_words(words, m) * wtilde[None, :]
     ok, lo, hi = checker.batch_verdicts(weight_rows)
 
     def reason(i: int, vec: int) -> str:
@@ -794,7 +781,7 @@ def sparsify_experiment(
         theorem="reweighted sample approximates the quadratic form",
         constants=(
             _const("oversample_scale", 1.0, rate_scale),
-            _const("independence_order", max(2, 2 * math.ceil(math.log2(max(g.n, 2)))), space_k),
+            _const("independence_order", max(2, 2 * math.ceil(math.log2(max(g.n, 2)))), k),
         ),
         descriptor=descriptor,
         mode=mode,
@@ -854,21 +841,16 @@ def reweight_then_connectivity(
 
     order = g.edge_ids()
     m = len(order)
-    levels = [_dyadic_floor(Fraction(plan.rates[eid]), max_level) for eid in order]
-    space = _heterogeneous_space(levels, k)
-    words, descriptor, space_k = _rate_space_words(space, m, k, mode, trials, seed, budget)
-    cuts = g.enumerate_cuts() if g.n <= 20 else None
-    if space is None:
-        floor = Fraction(1)
-    else:
-        floor = Fraction(0) if cuts is None else _union_bound_floor(cuts, order, space)
-    ok, reason = _components_kept(g, words, order, cuts)
+    levels, space, words, descriptor = _rate_space(
+        plan.rates, order, k, max_level, mode, trials, seed, budget
+    )
+    ok, reason, floor, _ = _components_kept(g, words, order, space)
     return _report(
         g, words, order, ok, reason,
         theorem="weighted rates keep the graph in one piece",
         constants=(
             _const("oversample_scale", 1.0, rate_scale),
-            _const("independence_order", 2 * max(1, math.ceil(math.log2(max(m, 2)))), space_k),
+            _const("independence_order", 2 * max(1, math.ceil(math.log2(max(m, 2)))), k),
         ),
         descriptor=descriptor,
         mode=mode,

@@ -55,13 +55,6 @@ class UnionFind:
         self.count -= 1
         return True
 
-    def copy(self) -> "UnionFind":
-        out = UnionFind.__new__(UnionFind)
-        out.parent = self.parent.copy()
-        out.size = self.size.copy()
-        out.count = self.count
-        return out
-
 
 @dataclass(frozen=True)
 class MinCut:
@@ -256,7 +249,8 @@ class Graph:
         finds none, and the count is the number of such vertices.  Rows run in
         blocks of at most _CHUNK rows, fewer when their masks would pass
         _CHUNK * (n + m) bytes, and each block's arrays are freed before the
-        next block's are made.
+        next block's are made.  Counts come in the narrowest unsigned dtype
+        that holds n (uint8 up to 255 vertices).
         """
         words = np.asarray(words)
         if not np.issubdtype(words.dtype, np.integer):
@@ -268,7 +262,7 @@ class Graph:
         plan = self._schedule
         row_bytes = self.n * plan.words * plan.dtype.itemsize
         step = max(1, min(_CHUNK, _CHUNK * (self.n + self.m) // max(row_bytes, 1)))
-        out = np.empty(words.shape[0], dtype=np.int64)
+        out = np.empty(words.shape[0], dtype=np.min_scalar_type(self.n))
         for lo in range(0, words.shape[0], step):
             out[lo : lo + step] = self._block_counts(plan, words[lo : lo + step])
         return out
@@ -495,11 +489,7 @@ class Graph:
         return sorted(cycles, key=lambda c: (len(c), tuple(sorted(c))))
 
     def is_forest(self) -> bool:
-        uf = UnionFind(self.n)
-        for _, u, v, _ in self.edges():
-            if not uf.union(u, v):
-                return False
-        return True
+        return self.m == self.n - self.component_count()
 
     def spanning_forest(self) -> list[int]:
         """Edge ids of the smallest-id-first spanning forest."""

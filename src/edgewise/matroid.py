@@ -30,28 +30,37 @@ GRAPHIC = "graphic"
 COGRAPHIC = "cographic"
 
 
-def ind_graphic(g: Graph, S) -> bool:
-    """Independent iff the edge set contains no cycle."""
+def _rank(g: Graph, kind: str, S) -> int:
+    """Rank of the edge-id set S: n - c(S) in the graphic matroid and, by
+    duality, |S| + c(E) - c(E - S) in the cographic one, where c(X) counts
+    the components the edges X leave."""
+    S = set(S)
+    for eid in S:
+        if not g.has_edge(eid):
+            raise KeyError(f"unknown edge id {eid}")
+    if kind == GRAPHIC:
+        return g.n - _component_count(g, S)
+    return len(S) + g.component_count() - _component_count(g, set(g.edge_ids()) - S)
+
+
+def _component_count(g: Graph, S) -> int:
     uf = UnionFind(g.n)
     for eid in S:
         u, v, _ = g.edge(eid)
-        if not uf.union(u, v):
-            return False
-    return True
+        uf.union(u, v)
+    return uf.count
+
+
+def ind_graphic(g: Graph, S) -> bool:
+    """Independent iff the edge set contains no cycle."""
+    S = set(S)
+    return _rank(g, GRAPHIC, S) == len(S)
 
 
 def ind_cographic(g: Graph, S) -> bool:
     """Independent iff removing the edge set keeps every component intact."""
     S = set(S)
-    for eid in S:
-        if not g.has_edge(eid):
-            raise KeyError(f"unknown edge id {eid}")
-    uf = UnionFind(g.n)
-    remaining = g.component_count()
-    for eid, u, v, _ in g.edges():
-        if eid not in S:
-            uf.union(u, v)
-    return uf.count == remaining
+    return _rank(g, COGRAPHIC, S) == len(S)
 
 
 class LedgerError(RuntimeError):
@@ -181,12 +190,6 @@ class OracleSession:
             self.ledger.end_round()
         return answer
 
-    def begin_round(self, label: str = "round"):
-        self.ledger.begin_round(label)
-
-    def end_round(self) -> tuple[str, int]:
-        return self.ledger.end_round()
-
     def run_round(self, label: str, rows) -> np.ndarray:
         """One parallel round: all queries are fixed before any answer.
 
@@ -227,44 +230,22 @@ class OracleSession:
         minor (1-element circuits); for the cographic kind they are coloops.
         rank() and min_circuit_size() account for them; this view does not.
         """
-        if self.kind == GRAPHIC:
-            h = self.graph.delete_edges(self.deleted)
-            if self.contracted:
-                h, _ = h.contract_edges(self.contracted)
-            return h
-        h = self.graph.delete_edges(self.contracted)
-        if self.deleted:
-            h, _ = h.contract_edges(self.deleted)
+        drop, merge = self.deleted, self.contracted
+        if self.kind == COGRAPHIC:
+            drop, merge = merge, drop
+        h = self.graph.delete_edges(drop)
+        if merge:
+            h, _ = h.contract_edges(merge)
         return h
 
-    def _graphic_rank_of(self, edge_set) -> int:
-        uf = UnionFind(self.graph.n)
-        r = 0
-        for eid in sorted(edge_set):
-            u, v, _ = self.graph.edge(eid)
-            if uf.union(u, v):
-                r += 1
-        return r
-
     def rank(self) -> int:
-        """Rank of the current minor, from the graph, not the oracle.
-
-        Graphic: rank(E - D) - |T|.  Cographic: by the dual rank formula
-        r*(X) = |X| + rank(E - X) - rank(E), which stays correct when the
-        graph view of the minor loses coloops to self-loop dropping.
+        """Rank of the current minor, from the graph, not the oracle:
+        r(E - D) - |T| for either kind (T is contracted only while
+        independent).  Coloops lost to self-loop dropping in the cographic
+        graph view still count, since the rank is read off the full graph.
         """
-        all_ids = set(self.graph.edge_ids())
-        if self.kind == GRAPHIC:
-            return self._graphic_rank_of(all_ids - self.deleted) - len(self.contracted)
-        r_d = self._graphic_rank_of(self.deleted)
-        r_not_t = self._graphic_rank_of(all_ids - self.contracted)
-        return (
-            len(all_ids)
-            - len(self.deleted)
-            - len(self.contracted)
-            + r_d
-            - r_not_t
-        )
+        rest = set(self.graph.edge_ids()) - self.deleted
+        return _rank(self.graph, self.kind, rest) - len(self.contracted)
 
     def min_circuit_size(self) -> int | None:
         """Smallest circuit size of the current minor; None when independent.

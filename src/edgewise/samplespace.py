@@ -286,17 +286,13 @@ class SmallBiasSpace(SampleSpace):
 
     construction = "small_bias"
 
-    def __init__(self, n: int, k: int, delta: Fraction, budget: int | None = None):
+    def __init__(self, n: int, k: int, delta: Fraction):
         delta = Fraction(delta)
         if not (0 < delta < 1):
             raise ValueError("delta must be in (0, 1)")
         params = SpaceParams(n=n, k=k, delta=delta)
         self.half_bits = self._half_bits(n, k, delta)
-        seed_bits = 2 * self.half_bits
-        limit = DEFAULT_ENUM_BUDGET if budget is None else budget
-        if (1 << seed_bits) > limit:
-            raise SupportTooLargeError(seed_bits, limit)
-        super().__init__(params, seed_bits=seed_bits)
+        super().__init__(params, seed_bits=2 * self.half_bits)
         self._span_bits = self.half_bits
 
     @staticmethod
@@ -416,11 +412,11 @@ def build_kwise(n: int, k: int) -> PolynomialSpace:
     return PolynomialSpace(n, k)
 
 
-def build_almost_kwise(
-    n: int, k: int, delta: Fraction | float | str, budget: int | None = None
-) -> SmallBiasSpace:
-    """delta-almost k-wise independent space on n bits, nominal marginal 1/2."""
-    return SmallBiasSpace(n, k, Fraction(delta), budget=budget)
+def build_almost_kwise(n: int, k: int, delta: Fraction | float | str) -> SmallBiasSpace:
+    """delta-almost k-wise independent space on n bits, nominal marginal 1/2.
+    Any size builds and samples; the budget applies where a support is
+    enumerated or verified."""
+    return SmallBiasSpace(n, k, Fraction(delta))
 
 
 def with_marginal(
@@ -628,7 +624,7 @@ def space_from_descriptor(desc: dict) -> SampleSpace:
     if kind == "poly_eval":
         return build_kwise(desc["n"], desc["k"])
     if kind == "small_bias":
-        return build_almost_kwise(desc["n"], desc["k"], delta, budget=1 << 62)
+        return build_almost_kwise(desc["n"], desc["k"], delta)
     if kind == "grouped":
         sizes = desc["group_sizes"]
         underlying = space_from_descriptor(desc["underlying"])

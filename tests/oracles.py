@@ -430,3 +430,75 @@ def loop_union_bound_floor(cuts, order, space: SampleSpace) -> Fraction:
         total_fail += pr + space.params.delta
     floor = 1 - total_fail
     return floor if floor > 0 else Fraction(0)
+
+
+def _reach_labels(n: int, edges) -> tuple:
+    """Per vertex, the smallest vertex it reaches over the (u, v) pairs, by search."""
+    adj: dict[int, list[int]] = defaultdict(list)
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    label = [-1] * n
+    for root in range(n):
+        if label[root] < 0:
+            label[root] = root
+            stack = [root]
+            while stack:
+                for y in adj[stack.pop()]:
+                    if label[y] < 0:
+                        label[y] = root
+                        stack.append(y)
+    return tuple(label)
+
+
+def _acyclic(g: Graph, eids) -> bool:
+    """No cycle among the edges: a search meets a seen vertex only through
+    the edge it came by (a parallel pair is a cycle)."""
+    adj: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for eid in eids:
+        u, v, _ = g.edge(eid)
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    seen: set[int] = set()
+    for root in range(g.n):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, None)]
+        while stack:
+            x, via = stack.pop()
+            for y, eid in adj[x]:
+                if eid == via:
+                    continue
+                if y in seen:
+                    return False
+                seen.add(y)
+                stack.append((y, eid))
+    return True
+
+
+def brute_force_ranks(g: Graph, kind: str, given=frozenset()) -> dict[frozenset, int]:
+    """Rank of every set S of edges outside `given`: the size of the largest
+    X within S such that X with `given` is a forest ("graphic") or leaves the
+    components of g when removed ("cographic").  By subset exhaustion with
+    graph search, m <= 10; `given` must itself be independent."""
+    if g.m > 10:
+        raise ValueError("rank exhaustion capped at 10 edges")
+    whole = _reach_labels(g.n, [g.edge(e)[:2] for e in g.edge_ids()])
+
+    def independent(X) -> bool:
+        if kind == "graphic":
+            return _acyclic(g, X)
+        rest = [g.edge(e)[:2] for e in g.edge_ids() if e not in X]
+        return _reach_labels(g.n, rest) == whole
+
+    ids = [e for e in g.edge_ids() if e not in given]
+    ranks: dict[frozenset, int] = {}
+    for size in range(len(ids) + 1):
+        for combo in combinations(ids, size):
+            S = frozenset(combo)
+            if independent(S | given):
+                ranks[S] = size
+            else:
+                ranks[S] = max(ranks[S - {e}] for e in S)  # empty S: `given` dependent
+    return ranks

@@ -240,6 +240,57 @@ def test_verify_space_golden_json(capsys, argv, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+KNOBS = {"k": 2, "epsilon": 0.9, "delta": 0.45, "rate_scale": 1.0}
+
+# pinned stdout bytes of every report-producing subcommand; "{knobs}" and
+# "{csv}" stand for files the test writes
+CLI_GOLDENS = {
+    "cli_gen.txt": ["gen", "--family", "theta", "--params", "lengths=2:3:4"],
+    "cli_gen_json.json": ["gen", "--family", "theta", "--params", "lengths=2:3:4", "--json"],
+    "cli_connectivity.json": [
+        "connectivity", "--family", "multi_cycle", "--params", "length=3,copies=2", "--k", "3",
+    ],
+    "cli_connectivity_sample.json": [
+        "connectivity", "--family", "cycle", "--params", "length=9", "--k", "2",
+        "--delta", "1/8", "--sample", "40", "--seed", "5",
+    ],
+    "cli_cyclefree.json": [
+        "cyclefree", "--family", "theta", "--params", "lengths=2:2:3", "--k", "3", "--csv", "{csv}",
+    ],
+    "cli_unique_cut.json": [
+        "unique-cut", "--family", "cycle", "--params", "length=5", "--k", "4", "--edges", "1,2",
+    ],
+    "cli_unique_cycle.json": [
+        "unique-cycle", "--family", "theta", "--params", "lengths=2:3:3", "--k", "4",
+        "--edges", "1,2,3,4,5",
+    ],
+    "cli_sparsify.json": [
+        "sparsify", "--family", "dumbbell", "--params", "left=5,right=5",
+        "--constants", "{knobs}", "--rate-scale", "5e-4",
+    ],
+    "cli_reweight.json": [
+        "reweight", "--family", "multi_cycle", "--params", "length=2,copies=8", "--k", "2",
+        "--rate-scale", "5.75e-3",
+    ],
+    "cli_find_basis.json": [
+        "find-basis", "--family", "complete", "--params", "vertices=5", "--kind", "cographic",
+    ],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(CLI_GOLDENS))
+def test_cli_stdout_golden(capsys, tmp_path, golden):
+    knobs = tmp_path / "knobs.json"
+    knobs.write_text(json.dumps(KNOBS))
+    csv_file = tmp_path / "rates.csv"
+    argv = [a.format(knobs=knobs, csv=csv_file) for a in CLI_GOLDENS[golden]]
+    code, out, _ = run_main(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+    if "{csv}" in CLI_GOLDENS[golden]:
+        assert csv_file.read_bytes() == (GOLDEN / "cli_cyclefree.csv").read_bytes()
+
+
 def test_verify_space_budget_error_unchanged(capsys):
     code, out, err = run_main(capsys, "verify-space", "--n", "16", "--k", "4", "--budget", "1024")
     assert code == 2
@@ -248,6 +299,40 @@ def test_verify_space_budget_error_unchanged(capsys):
         "error: support has 2^20 vectors; enumeration budget is 1024 "
         "(needs a budget of at least 1048576)\n"
     )
+
+
+def test_verify_space_budget_above_default(capsys):
+    # a 2^26-seed space is built at any size; --budget alone decides whether
+    # it may be enumerated, and the verifier enumerates nothing
+    code, out, err = run_main(
+        capsys, "verify-space", "--n", "32", "--k", "2", "--delta", "1/256",
+        "--budget", str(1 << 26),
+    )
+    assert code == 0, err
+    blob = json.loads(out)
+    assert blob["seed_bits"] == 26
+    assert blob["max_tv"] == "1/8192"
+    assert blob["subsets_tested"] == 496
+    assert blob["ok"] is True
+
+
+def test_sampled_run_needs_no_budget(capsys):
+    # 2^34 seeds, past the default budget; sampling builds no support
+    code, out, err = run_main(
+        capsys, "connectivity", "--family", "cycle", "--params", "length=200",
+        "--k", "8", "--delta", "1/64", "--sample", "16",
+    )
+    assert code == 0, err
+    blob = json.loads(out)
+    assert blob["counts"]["trials"] == 16
+    assert blob["spec"]["space"]["seed_bits"] == 34
+    # enumerating the same space is still refused
+    code, out, err = run_main(
+        capsys, "connectivity", "--family", "cycle", "--params", "length=200",
+        "--k", "8", "--delta", "1/64",
+    )
+    assert code == 2 and out == ""
+    assert "enumeration budget is 16777216" in err
 
 
 def test_sample_mode_notes_and_seed(capsys):

@@ -252,6 +252,17 @@ def test_cyclefree_beyond_cycle_listing_matches_forest_recount():
             assert not g.keep_edges(w["kept"]).is_forest()
 
 
+@pytest.mark.parametrize("n", [255, 256])
+def test_rates_at_the_count_dtype_edge(n):
+    # a triangle among n - 3 isolated vertices: the component counts reach n
+    # (uint8 at 255, uint16 at 256), and n - c and |kept| - n + c must not wrap
+    g = Graph(n, [(0, 1), (1, 2), (2, 0)])
+    assert cyclefree_experiment(g, full_space(3)).rates["acyclic"] == Fraction(7, 8)
+    assert connectivity_experiment(g, full_space(3)).success_rate == Fraction(1, 2)
+    alone = unique_cycle_survival_experiment(g, {1, 2, 3}, full_space(3))
+    assert alone.success_rate == Fraction(1, 8)
+
+
 def test_theta_joint_rate_positive():
     g = gen_graph("theta", {"lengths": [3, 4, 5]})
     r = cyclefree_experiment(g, build_almost_kwise(g.m, 4, Fraction(1, 8)))

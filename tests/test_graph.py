@@ -306,6 +306,22 @@ def test_component_counts_edge_cases():
         g.component_counts(np.zeros((2, 0), dtype=np.uint64))
 
 
+@pytest.mark.parametrize("n,dtype", [(255, np.uint8), (256, np.uint16)])
+def test_component_counts_dtype_holds_n(n, dtype):
+    # counts come in the narrowest unsigned dtype holding n; the edgeless row
+    # counts all n vertices, and a 0-row input keeps the dtype
+    g = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    words = np.zeros((3, -(-g.m // 64)), dtype=np.uint64)
+    words[1] = 2**64 - 1
+    words[2, 0] = 1
+    got = g.component_counts(words)
+    assert got.dtype == dtype
+    assert got.tolist() == [n, 1, n - 1]
+    assert (g.n - got).tolist() == [0, n - 1, 1]
+    empty = g.component_counts(words[:0])
+    assert empty.shape == (0,) and empty.dtype == dtype
+
+
 def ints_to_words(ints, width):
     return np.array(
         [[(x >> (64 * j)) & (2**64 - 1) for j in range(width)] for x in ints],
@@ -493,6 +509,27 @@ def test_enumerate_cycles_matches_subset_exhaustion(seed):
     if g.m > 12:
         g = g.keep_edges(g.edge_ids()[:12])
     assert g.enumerate_cycles() == brute_force_cycles(g, max_edges=12)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_girth_and_cycles_match_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    n = rng.randint(4, 8)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
+    g = Graph(n, pairs[:14])
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(pairs[:14])
+    want = nx.girth(h)
+    assert g.girth() == (None if want == float("inf") else want)
+    eid = {frozenset((u, v)): e for e, u, v, _ in g.edges()}
+    cycles = {
+        frozenset(eid[frozenset((c[i], c[i - 1]))] for i in range(len(c)))
+        for c in nx.simple_cycles(h)
+    }
+    assert set(g.enumerate_cycles()) == cycles
+    assert len(g.enumerate_cycles()) == len(cycles)
 
 
 def test_enumerate_cycles_all_simple():

@@ -19,9 +19,11 @@ from edgewise.matroid import (
     LedgerError,
     OracleSession,
     QueryLedger,
+    _rank,
     ind_cographic,
     ind_graphic,
 )
+from oracles import brute_force_ranks
 
 
 def random_multigraph(seed: int, n_max: int = 6, m_max: int = 8) -> Graph:
@@ -378,6 +380,80 @@ def test_rank_drops_by_one_per_contraction(kind, seed):
             taken += 1
             assert s.rank() == r0 - taken
     assert taken == r0  # greedy reaches a basis
+
+
+def rank_test_graph(seed: int) -> Graph:
+    """Seeded multigraph of at most 10 edges on two vertex blocks, plus an
+    isolated vertex and a parallel copy of its first edge."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 8)
+    cut = rng.randint(2, n - 3)
+    blocks = [list(range(cut)), list(range(cut, n - 1))]
+    edges = [tuple(rng.sample(blocks[i % 2], 2)) for i in range(rng.randint(6, 9))]
+    return Graph(n, edges + [edges[0]])
+
+
+@pytest.mark.parametrize("kind", [GRAPHIC, COGRAPHIC])
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_matches_brute_force_on_every_subset(kind, seed):
+    g = rank_test_graph(seed)
+    assert g.degree(g.n - 1) == 0 and g.component_count() >= 3
+    ranks = brute_force_ranks(g, kind)
+    assert len(ranks) == 2**g.m
+    for S, r in ranks.items():
+        assert _rank(g, kind, S) == r, sorted(S)
+
+
+@pytest.mark.parametrize("kind", [GRAPHIC, COGRAPHIC])
+@pytest.mark.parametrize("seed", range(6))
+def test_session_rank_is_minor_rank(kind, seed):
+    # rank of M/T\D: the largest X outside T and D with X | T independent
+    g = rank_test_graph(seed + 20)
+    rng = random.Random(seed)
+    ground = frozenset(g.edge_ids())
+    for _ in range(4):
+        s = OracleSession(g, kind)
+        for eid in rng.sample(sorted(ground), rng.randint(0, g.m)):
+            if rng.random() < 0.5:
+                if s.query({eid}):
+                    s.contract({eid})
+            else:
+                s.delete({eid})
+        T, D = frozenset(s.contracted), frozenset(s.deleted)
+        assert s.rank() == brute_force_ranks(g, kind, given=T)[ground - T - D]
+
+
+def test_rank_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 6))
+        vertex = st.integers(0, n - 1)
+        g = Graph(n, draw(st.lists(st.tuples(vertex, vertex), max_size=9)))
+        steps = draw(st.lists(st.tuples(st.sampled_from(g.edge_ids() or [0]), st.booleans())))
+        return g, draw(st.sampled_from([GRAPHIC, COGRAPHIC])), steps
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        g, kind, steps = case
+        ranks = brute_force_ranks(g, kind)
+        for S, r in ranks.items():
+            assert _rank(g, kind, S) == r
+        s = OracleSession(g, kind)
+        for eid, contract in steps:
+            if eid not in s.elements():
+                continue
+            if not contract:
+                s.delete({eid})
+            elif s.query({eid}):
+                s.contract({eid})
+        T, D = frozenset(s.contracted), frozenset(s.deleted)
+        assert s.rank() == brute_force_ranks(g, kind, given=T)[frozenset(g.edge_ids()) - T - D]
+
+    check()
 
 
 def test_rank_survives_selfloop_dropping_minors():

@@ -226,9 +226,10 @@ def test_heterogeneous_rejects_negative_group_size():
         group_heterogeneous(build_kwise(4, 2), [-1, 5], 2, Fraction(0))
 
 
-def test_budget_rejected_at_build_for_almost():
+def test_budget_rejected_at_enumeration_for_almost():
+    space = build_almost_kwise(32, 3, Fraction(1, 16))  # builds at any size
     with pytest.raises(SupportTooLargeError) as ei:
-        build_almost_kwise(32, 3, Fraction(1, 16), budget=1 << 10)
+        space.support_words(budget=1 << 10)
     assert ei.value.seed_bits == 20
     assert "2^20" in str(ei.value)
 
@@ -467,7 +468,7 @@ SAMPLED_SPACES = {
     # 9 coefficients over GF(2^8): 72 seed bits, past any machine integer
     "kwise(200,9)": lambda: build_kwise(200, 9),
     # 2^40 seeds, far over the enumeration budget
-    "almost over budget": lambda: build_almost_kwise(40, 4, Fraction(1, 1 << 12), budget=1 << 62),
+    "almost over budget": lambda: build_almost_kwise(40, 4, Fraction(1, 1 << 12)),
     "grouped almost comp": lambda: with_marginal(
         almost_builder, 9, 2, Fraction(1, 8), 2, complemented=True
     ),
