@@ -149,7 +149,7 @@ def _cmd_experiment(args):
 _PIPELINE_KNOBS = (
     ("k", int, 2),
     ("epsilon", float, 0.5),
-    ("delta", float, 0.25),
+    ("delta", lambda x: float(Fraction(x)), 0.25),  # a rate such as 1/4 or 0.25
     ("rate_scale", float, 1.0),
     ("max_level", int, 20),
 )
@@ -158,9 +158,7 @@ _PIPELINE_KNOBS = (
 def _cmd_pipeline(args):
     g, label = _graph_from_args(args)
     knobs = _constants_file(args)
-    given = dict(vars(args))
-    if args.delta is not None:
-        given["delta"] = Fraction(args.delta)  # a rate such as 1/4 or 0.25
+    given = vars(args)
     values = {
         name: parse(knobs.get(name, default) if given[name] is None else given[name])
         for name, parse, default in _PIPELINE_KNOBS

@@ -37,7 +37,6 @@ from .samplespace import (
     build_kwise,
     group_heterogeneous,
     mode_words,
-    verify_independence,
 )
 from .spectral import edge_form_checker, leverage_scores, sparsify_rates
 
@@ -52,7 +51,6 @@ __all__ = [
     "cyclefree_experiment",
     "gen_graph",
     "graph_summary",
-    "independence_strength_sweep",
     "instance_label",
     "load_graph",
     "reweight_then_connectivity",
@@ -931,23 +929,3 @@ def conditional_bias_check(
         events=tuple(rows),
     )
 
-
-def independence_strength_sweep(
-    builder,
-    n: int,
-    ks: Sequence[int],
-    delta,
-    budget: int | None = None,
-) -> list[tuple[int, Fraction]]:
-    """Measured worst-case TV at each independence order, for scaling checks.
-
-    builder(n, k, delta) -> space.  Returns (k, max_tv) pairs in the given
-    order; exact spaces must all measure zero, near-uniform spaces must all
-    stay within their certified delta.
-    """
-    out = []
-    for k in ks:
-        sp = builder(n, k, delta)
-        rpt = verify_independence(sp, budget=budget)
-        out.append((k, rpt.max_tv))
-    return out

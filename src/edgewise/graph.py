@@ -213,22 +213,27 @@ class Graph:
 
     # -- connectivity ------------------------------------------------------
 
-    def union_find(self) -> UnionFind:
+    def union_find(self, eids=None) -> UnionFind:
+        """Union-find over the vertices, joined by the edge ids eids (every
+        edge when None).  An unknown id raises KeyError."""
         uf = UnionFind(self.n)
-        for _, u, v, _ in self.edges():
+        for eid in self.edge_ids() if eids is None else eids:
+            u, v, _ = self._edges[eid]
             uf.union(u, v)
         return uf
 
-    def components(self) -> list[list[int]]:
-        """Vertex lists, each sorted, ordered by smallest member."""
-        uf = self.union_find()
+    def components(self, eids=None) -> list[list[int]]:
+        """Vertex lists of the subgraph kept by eids (every edge when None),
+        each sorted, ordered by smallest member."""
+        uf = self.union_find(eids)
         groups: dict[int, list[int]] = defaultdict(list)
         for v in range(self.n):
             groups[uf.find(v)].append(v)
         return sorted(groups.values())
 
-    def component_count(self) -> int:
-        return self.union_find().count
+    def component_count(self, eids=None) -> int:
+        """Components of the subgraph kept by eids (every edge when None)."""
+        return self.union_find(eids).count
 
     def component_counts(self, words) -> np.ndarray:
         """Component count of the kept subgraph, one per row of a word matrix.
@@ -550,14 +555,7 @@ class Graph:
 
     def contract_edges(self, eids) -> tuple["Graph", dict[int, int]]:
         """Contract the given edges (identify their endpoints)."""
-        uf = UnionFind(self.n)
-        for eid in eids:
-            u, v, _ = self._edges[eid]
-            uf.union(u, v)
-        groups: dict[int, list[int]] = defaultdict(list)
-        for v in range(self.n):
-            groups[uf.find(v)].append(v)
-        return self.contract_partition(list(groups.values()))
+        return self.contract_partition(self.components(eids))
 
     def subdivide(self, s: int) -> "Graph":
         """Replace each edge by a path of s edges.

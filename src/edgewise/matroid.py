@@ -11,10 +11,9 @@ count: S union T is graphic-independent when it has n - c edges for c the
 components it leaves, and cographic-independent when removing it leaves
 as many components as the graph has.
 
-Parallel rounds are simulated sequentially: a round is opened, queries are
-issued (their answers withheld until the round closes), and the ledger
-records one count per round.  Algorithms that want strict structural
-non-adaptivity use run_round, which takes the full query batch up front.
+A round is a batch of queries fixed before any of them is answered:
+run_round takes the whole batch up front, answers it, and records one
+(label, query count) entry in the ledger.  A lone query() is a round of one.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import json
 
 import numpy as np
 
-from .graph import Graph, UnionFind
+from .graph import Graph
 from .samplespace import _pack_words
 
 GRAPHIC = "graphic"
@@ -33,22 +32,15 @@ COGRAPHIC = "cographic"
 def _rank(g: Graph, kind: str, S) -> int:
     """Rank of the edge-id set S: n - c(S) in the graphic matroid and, by
     duality, |S| + c(E) - c(E - S) in the cographic one, where c(X) counts
-    the components the edges X leave."""
+    the components the edges X leave.  A union-find count, independent of
+    the component_counts kernel that answers queries, so it can check them."""
     S = set(S)
     for eid in S:
         if not g.has_edge(eid):
             raise KeyError(f"unknown edge id {eid}")
     if kind == GRAPHIC:
-        return g.n - _component_count(g, S)
-    return len(S) + g.component_count() - _component_count(g, set(g.edge_ids()) - S)
-
-
-def _component_count(g: Graph, S) -> int:
-    uf = UnionFind(g.n)
-    for eid in S:
-        u, v, _ = g.edge(eid)
-        uf.union(u, v)
-    return uf.count
+        return g.n - g.component_count(S)
+    return len(S) + g.component_count() - g.component_count(set(g.edge_ids()) - S)
 
 
 def ind_graphic(g: Graph, S) -> bool:
@@ -63,17 +55,11 @@ def ind_cographic(g: Graph, S) -> bool:
     return _rank(g, COGRAPHIC, S) == len(S)
 
 
-class LedgerError(RuntimeError):
-    pass
-
-
 class QueryLedger:
     """Per-round query counts with phase labels."""
 
     def __init__(self):
         self.rounds: list[tuple[str, int]] = []
-        self._open: str | None = None
-        self._count = 0
 
     @property
     def total_rounds(self) -> int:
@@ -83,28 +69,9 @@ class QueryLedger:
     def total_queries(self) -> int:
         return sum(c for _, c in self.rounds)
 
-    def begin_round(self, label: str = "round"):
-        if self._open is not None:
-            raise LedgerError("round already open")
-        self._open = label
-        self._count = 0
-
-    def add_query(self):
-        self.add_queries(1)
-
-    def add_queries(self, count: int):
-        if self._open is None:
-            raise LedgerError("no open round")
-        self._count += count
-
-    def end_round(self) -> tuple[str, int]:
-        if self._open is None:
-            raise LedgerError("no open round")
-        rec = (self._open, self._count)
-        self.rounds.append(rec)
-        self._open = None
-        self._count = 0
-        return rec
+    def record(self, label: str, count: int):
+        """Bill one whole round of count queries."""
+        self.rounds.append((label, count))
 
     def to_dict(self) -> dict:
         phases = []
@@ -126,10 +93,11 @@ class QueryLedger:
 class OracleSession:
     """Oracle access to a graphic or cographic matroid minor.
 
-    The ground set is the edge-id set of the graph.  query() answers for the
-    current minor and bills the open round (a round is opened implicitly for
-    a lone query).  rank() and minor_graph() are test oracles computed
-    directly from the graph; they never touch the ledger.
+    The ground set is the edge-id set of the graph.  run_round() answers a
+    whole batch of queries for the current minor and bills it as one round;
+    query() is a round of one.  rank(), min_circuit_size() and minor_graph()
+    are test oracles computed directly from the graph; they never touch the
+    ledger.
     """
 
     def __init__(self, g: Graph, kind: str):
@@ -179,16 +147,8 @@ class OracleSession:
     # -- the oracle ---------------------------------------------------------
 
     def query(self, S) -> bool:
-        """Ind(S) in the current minor; billed to the open round."""
-        rows = self.query_rows([S])
-        implicit = self.ledger._open is None
-        if implicit:
-            self.ledger.begin_round("adhoc")
-        self.ledger.add_query()
-        answer = bool(self._answers(rows)[0])
-        if implicit:
-            self.ledger.end_round()
-        return answer
+        """Ind(S) in the current minor, billed as its own "adhoc" round."""
+        return bool(self.run_round("adhoc", self.query_rows([S]))[0])
 
     def run_round(self, label: str, rows) -> np.ndarray:
         """One parallel round: all queries are fixed before any answer.
@@ -200,11 +160,8 @@ class OracleSession:
         width = len(self.elements())
         if rows.ndim != 2 or rows.shape[1] != width or not ((rows == 0) | (rows == 1)).all():
             raise ValueError(f"need a (queries, {width}) 0/1 matrix over elements()")
-        rows = rows.astype(np.uint8, copy=False)
-        self.ledger.begin_round(label)
-        self.ledger.add_queries(rows.shape[0])
-        answers = self._answers(rows)
-        self.ledger.end_round()
+        answers = self._answers(rows.astype(np.uint8, copy=False))
+        self.ledger.record(label, rows.shape[0])
         return answers
 
     # -- minor surgery ------------------------------------------------------
@@ -256,10 +213,7 @@ class OracleSession:
         dropped self-loops are coloops, which lie in no circuit).
         """
         if self.kind == GRAPHIC:
-            uf = UnionFind(self.graph.n)
-            for eid in self.contracted:
-                u, v, _ = self.graph.edge(eid)
-                uf.union(u, v)
+            uf = self.graph.union_find(self.contracted)
             for eid in self.elements():
                 u, v, _ = self.graph.edge(eid)
                 if uf.find(u) == uf.find(v):

@@ -132,6 +132,21 @@ def test_sparsify_constants_file_with_flag_override(capsys, tmp_path):
     assert json.loads(out)["rates"]["success"] == "3/8"
 
 
+@pytest.mark.parametrize("pipeline", ["sparsify", "reweight"])
+def test_pipeline_delta_from_file_matches_flag(capsys, tmp_path, pipeline):
+    knobs = tmp_path / "knobs.json"
+    knobs.write_text(json.dumps({"delta": "1/3"}))
+    graph = ("--family", "cycle", "--params", "length=5")
+    code, from_file, err = run_main(capsys, pipeline, *graph, "--constants", str(knobs))
+    assert code == 0, err
+    code, from_flag, err = run_main(capsys, pipeline, *graph, "--delta", "1/3")
+    assert code == 0, err
+    assert from_file == from_flag
+    code, default, _ = run_main(capsys, pipeline, *graph)
+    assert code == 0
+    assert default != from_flag
+
+
 def test_reweight_pipeline_subcommand(capsys):
     code, out, _ = run_main(
         capsys, "reweight", "--family", "multi_cycle", "--params", "length=2,copies=8",

@@ -15,7 +15,6 @@ from edgewise.experiments import (
     cyclefree_experiment,
     gen_graph,
     graph_summary,
-    independence_strength_sweep,
     instance_label,
     load_graph,
     reweight_then_connectivity,
@@ -32,6 +31,7 @@ from edgewise.samplespace import (
     build_kwise,
     exact_builder,
     group_heterogeneous,
+    verify_independence,
     with_marginal,
 )
 from edgewise.spectral import edge_form_checker, leverage_scores, sparsify_rates, spectral_approx_check
@@ -567,16 +567,14 @@ def test_conditional_bias_flags_oversized_events():
 
 
 def test_strength_sweep_exact_space_is_flat_zero():
-    rows = independence_strength_sweep(exact_builder, 8, [1, 2, 3], Fraction(0))
-    assert all(tv == 0 for _, tv in rows)
+    for k in [1, 2, 3]:
+        assert verify_independence(exact_builder(8, k, Fraction(0))).max_tv == 0
 
 
 def test_strength_sweep_almost_space_stays_under_delta():
     delta = Fraction(1, 8)
-    rows = independence_strength_sweep(
-        lambda n, k, d: build_almost_kwise(n, k, d), 10, [1, 2, 3], delta
-    )
-    assert all(tv <= delta for _, tv in rows)
+    for k in [1, 2, 3]:
+        assert verify_independence(build_almost_kwise(10, k, delta)).max_tv <= delta
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,31 @@ def test_components_and_connectivity():
     assert cycle_graph(4).is_connected()
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_edge_subset_connectivity_matches_kept_subgraph(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    # endpoints may coincide (a dropped loop consumes its id); some pairs repeat
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 9))]
+    edges += rng.sample(edges, min(2, len(edges)))
+    g = Graph(n + rng.randint(0, 2), edges)  # trailing vertices are isolated
+    ids = g.edge_ids()
+    subsets = [set(), set(ids)] + [{e for e in ids if rng.random() < 0.5} for _ in range(6)]
+    for S in subsets:
+        h = g.keep_edges(S)
+        assert g.union_find(S).count == h.union_find().count
+        assert g.component_count(S) == h.component_count()
+        assert g.components(S) == h.components()
+
+
+def test_edge_subset_unknown_id_raises():
+    g = Graph(3, [(0, 1), (1, 1), (1, 2)])  # id 2 is a dropped loop
+    for call in (g.union_find, g.component_count, g.components, g.contract_edges):
+        for bad in ([1, 2], [9]):
+            with pytest.raises(KeyError):
+                call(bad)
+
+
 @pytest.mark.parametrize(
     "g,value",
     [

@@ -16,7 +16,6 @@ from edgewise.graph import Graph, UnionFind
 from edgewise.matroid import (
     COGRAPHIC,
     GRAPHIC,
-    LedgerError,
     OracleSession,
     QueryLedger,
     _rank,
@@ -146,15 +145,10 @@ def test_duality_complement_spans(seed):
 
 def test_ledger_counts_and_phases():
     led = QueryLedger()
-    led.begin_round("probe")
-    led.add_query()
-    led.add_query()
-    led.end_round()
-    led.begin_round("probe")
-    led.add_query()
-    led.end_round()
-    led.begin_round("sweep")
-    led.end_round()
+    led.record("probe", 2)
+    led.record("probe", 1)
+    led.record("sweep", 0)
+    assert led.rounds == [("probe", 2), ("probe", 1), ("sweep", 0)]
     assert led.total_rounds == 3
     assert led.total_queries == 3
     d = led.to_dict()
@@ -168,27 +162,13 @@ def test_ledger_counts_and_phases():
     assert json.loads(led.to_json()) == d
 
 
-def test_ledger_misuse_raises():
-    led = QueryLedger()
-    with pytest.raises(LedgerError):
-        led.end_round()
-    with pytest.raises(LedgerError):
-        led.add_query()
-    with pytest.raises(LedgerError):
-        led.add_queries(3)
-    led.begin_round("x")
-    with pytest.raises(LedgerError):
-        led.begin_round("y")
-
-
-def test_ledger_add_queries_bills_the_open_round():
-    led = QueryLedger()
-    led.begin_round("batch")
-    led.add_queries(5)
-    led.add_query()
-    led.add_queries(0)
-    assert led.end_round() == ("batch", 6)
-    assert led.total_queries == 6
+def test_query_is_one_adhoc_round_of_one():
+    s = OracleSession(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), GRAPHIC)
+    assert s.query({1, 2})
+    assert s.ledger.rounds == [("adhoc", 1)]
+    s.run_round("batch", s.query_rows([{1}, {2}, {1, 2, 3, 4}]))
+    assert not s.query({1, 2, 3, 4})
+    assert s.ledger.rounds == [("adhoc", 1), ("batch", 3), ("adhoc", 1)]
 
 
 def test_ledger_totals_equal_round_counts_across_session_calls():
