@@ -30,7 +30,7 @@ from .samplespace import (
     almost_builder,
     build_almost_kwise,
     build_kwise,
-    dump_support,
+    dump_blocks,
     exact_builder,
     verify_independence,
     with_marginal,
@@ -196,7 +196,7 @@ def _cmd_find_basis(args):
 def _cmd_verify_space(args):
     space = _space_from_args(args.n, args)
     if args.dump:
-        sys.stdout.write(dump_support(space, args.budget))
+        sys.stdout.writelines(dump_blocks(space, args.budget))
         return 0
     rep = verify_independence(space, k_check=args.k_check, budget=args.budget)
     blob = {

@@ -18,7 +18,7 @@ import functools
 import json
 import math
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -29,7 +29,6 @@ from .basisfind import PreconditionError
 from .graph import Graph
 from .reweight import reweight_min_cut
 from .samplespace import (
-    DEFAULT_ENUM_BUDGET,
     SampleSpace,
     _all_set,
     _pack_words,
@@ -41,7 +40,6 @@ from .samplespace import (
 from .spectral import edge_form_checker, leverage_scores, sparsify_rates
 
 _WORD = 64
-_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 __all__ = [
     "ExperimentReport",
@@ -319,9 +317,7 @@ def _row_popcounts(words: np.ndarray, n: int) -> np.ndarray:
         # mask off bits beyond coordinate n-1 in the last word
         view = words.copy()
         view[:, -1] &= np.uint64((1 << tail) - 1)
-    return _POP8[view.view(np.uint8)].reshape(words.shape[0], -1).sum(
-        axis=1, dtype=np.int64
-    )
+    return np.bitwise_count(view).sum(axis=1, dtype=np.int64)
 
 
 def _row_to_int(words: np.ndarray, i: int) -> int:
@@ -344,28 +340,39 @@ def _first_kept(edge_sets, pos: Mapping[int, int], vector: int):
     return None
 
 
-def _witnesses(words, order, fail_rows, reason_fn, cap: int = 10) -> tuple:
-    out = []
-    for i in fail_rows[:cap]:
-        i = int(i)
-        vec = _row_to_int(words, i)
-        out.append(
-            {
-                "row": i,
-                "vector": vec,
-                "kept": _kept_ids(vec, order),
-                "reason": reason_fn(i, vec),
-            }
-        )
-    return tuple(out)
+def _mode_blocks(space: SampleSpace, mode: str, budget, trials, seed: int):
+    """Row blocks: the support ("enumerate") or one block of draws ("sample")."""
+    if mode == "enumerate":
+        return space.support_blocks(budget)
+    return iter((mode_words(space, mode, budget, trials, seed),))
+
+
+_Run = namedtuple("_Run", "rows successes tallies witnesses")  # summed over blocks
+
+
+def _fold(blocks, order: Sequence[int], verdict, cap: int = 10) -> _Run:
+    """Walk row blocks in order.  verdict(block) returns (ok, tallies, reason):
+    a boolean mask over the block's rows, counts to add up across blocks, and
+    reason(i, vector) explaining the block's failing row i.  The first `cap`
+    failing rows, numbered across all blocks, become witnesses."""
+    rows = successes = 0
+    tallies: Counter = Counter()
+    witnesses = []
+    for block in blocks:
+        ok, counts, reason = verdict(block)
+        successes += int(ok.sum())
+        tallies.update(counts)
+        for i in np.flatnonzero(~ok)[: cap - len(witnesses)].tolist():
+            vec = _row_to_int(block, i)
+            witnesses.append({"row": rows + i, "vector": vec, "kept": _kept_ids(vec, order),
+                              "reason": reason(i, vec)})
+        rows += block.shape[0]
+    return _Run(rows, successes, tallies, tuple(witnesses))
 
 
 def _report(
     g: Graph,
-    words: np.ndarray,
-    order: Sequence[int],
-    ok: np.ndarray,
-    reason_fn,
+    run: _Run,
     *,
     theorem: str,
     constants: tuple,
@@ -378,27 +385,24 @@ def _report(
     deviations: tuple = (),
     notes: tuple = (),
 ) -> ExperimentReport:
-    """One report from a per-row verdict; reason_fn(row, vector) explains a
-    failing row and rates holds the rates besides success."""
-    n_rows = words.shape[0]
-    successes = int(ok.sum())
+    """One report from a folded run; rates holds the rates besides success."""
     spec = ExperimentSpec(
         generator=generator or f"custom(n={g.n},m={g.m})",
         theorem=theorem,
         constants=constants,
         space=descriptor,
         mode=mode,
-        trials=None if mode == "enumerate" else n_rows,
+        trials=None if mode == "enumerate" else run.rows,
         seed=None if mode == "enumerate" else seed,
     )
     return ExperimentReport(
         spec=spec,
-        trials=n_rows,
-        successes=successes,
-        rates={"success": Fraction(successes, n_rows), **(rates or {})},
-        failure_witnesses=_witnesses(words, order, np.nonzero(~ok)[0], reason_fn),
+        trials=run.rows,
+        successes=run.successes,
+        rates={"success": Fraction(run.successes, run.rows), **(rates or {})},
+        failure_witnesses=run.witnesses,
         deviations=_deviation_lines(constants) + tuple(deviations),
-        notes=_mode_notes(mode, n_rows) + tuple(notes),
+        notes=_mode_notes(mode, run.rows) + tuple(notes),
         extras=extras,
     )
 
@@ -454,17 +458,16 @@ def _union_bound_floor(cuts, order: Sequence[int], space: SampleSpace) -> Fracti
 # -- the experiments -----------------------------------------------------------
 
 
-def _components_kept(g: Graph, words: np.ndarray, order: Sequence[int], space):
-    """Rows whose kept edges leave the components of g intact, the witness
-    reason, the union-bound floor and the cut list.  Cuts are listed when g
-    has at most 20 vertices; a witness then names its first fully dropped
-    cut, else the floor is 0.  No space (the all-ones row) has floor 1."""
+def _components_kept(g: Graph, order: Sequence[int], space):
+    """The verdict that a row's kept edges leave the components of g intact,
+    the union-bound floor and the cut list.  Cuts are listed when g has at
+    most 20 vertices; a witness then names its first fully dropped cut, else
+    the floor is 0.  No space (the all-ones row) has floor 1."""
     cuts = g.enumerate_cuts() if g.n <= 20 else None
     if space is None:
         floor = Fraction(1)
     else:
         floor = Fraction(0) if cuts is None else _union_bound_floor(cuts, order, space)
-    ok = g.component_counts(words) == g.component_count()
     pos = {eid: j for j, eid in enumerate(order)}
 
     def reason(i: int, vec: int) -> str:
@@ -473,7 +476,10 @@ def _components_kept(g: Graph, words: np.ndarray, order: Sequence[int], space):
         eids = _first_kept((c for c, _, _ in cuts), pos, ~vec)
         return f"cut {sorted(eids)} fully dropped"
 
-    return ok, reason, floor, cuts
+    def verdict(block):
+        return g.component_counts(block) == g.component_count(), (), reason
+
+    return verdict, floor, cuts
 
 
 def connectivity_experiment(
@@ -495,12 +501,12 @@ def connectivity_experiment(
     names a fully dropped cut.
     """
     order = _check_space_matches(g, space)
-    words = mode_words(space, mode, budget, trials, seed)
-    ok, reason, floor, cuts = _components_kept(g, words, order, space)
+    blocks = _mode_blocks(space, mode, budget, trials, seed)
+    verdict, floor, cuts = _components_kept(g, order, space)
     m = len(order)
     k_full = 2 * max(1, math.ceil(math.log2(max(m, 2))))
     return _report(
-        g, words, order, ok, reason,
+        g, _fold(blocks, order, verdict),
         theorem="kept subgraph preserves components",
         constants=(
             _const("independence_order", k_full, space.params.k),
@@ -534,26 +540,31 @@ def cyclefree_experiment(
     surviving cycle when the graph is small enough to list them.
     """
     order = _check_space_matches(g, space)
-    words = mode_words(space, mode, budget, trials, seed)
-    n_rows = words.shape[0]
+    blocks = _mode_blocks(space, mode, budget, trials, seed)
     m = len(order)
     pos = {eid: j for j, eid in enumerate(order)}
     floor = -(-m // 10)  # >= m/10 edges, integer form
-    kept = _row_popcounts(words, m)
-    big_enough = kept >= floor
-    acyclic = kept == g.n - g.component_counts(words)
     cycles = functools.cache(g.enumerate_cycles)
 
-    def reason(i: int, vec: int) -> str:
-        if acyclic[i]:
-            return "fewer than the edge floor survived"
-        if m > 40:
-            return "a cycle survived"
-        return f"cycle {sorted(_first_kept(cycles(), pos, vec))} survived"
+    def verdict(block):
+        kept = _row_popcounts(block, m)
+        big_enough = kept >= floor
+        acyclic = kept == g.n - g.component_counts(block)
 
+        def reason(i: int, vec: int) -> str:
+            if acyclic[i]:
+                return "fewer than the edge floor survived"
+            if m > 40:
+                return "a cycle survived"
+            return f"cycle {sorted(_first_kept(cycles(), pos, vec))} survived"
+
+        tallies = {"acyclic": int(acyclic.sum()), "enough_edges": int(big_enough.sum())}
+        return acyclic & big_enough, tallies, reason
+
+    run = _fold(blocks, order, verdict)
     k_full = 2 * max(1, math.ceil(math.log2(max(m, 2))))
     return _report(
-        g, words, order, acyclic & big_enough, reason,
+        g, run,
         theorem="kept subgraph is cycle-free and not too small",
         constants=(
             _const("independence_order", k_full, space.params.k),
@@ -565,8 +576,8 @@ def cyclefree_experiment(
         seed=seed,
         generator=generator,
         rates={
-            "acyclic": Fraction(int(acyclic.sum()), n_rows),
-            "enough_edges": Fraction(int(big_enough.sum()), n_rows),
+            "acyclic": Fraction(run.tallies["acyclic"], run.rows),
+            "enough_edges": Fraction(run.tallies["enough_edges"], run.rows),
         },
         extras={"edge_floor": floor},
     )
@@ -602,32 +613,36 @@ def _unique_survival(
     ell = min(len(eids) for eids in members)
     _window_check(len(target), ell, family)
 
-    words = mode_words(space, mode, budget, trials, seed)
-    n_rows = words.shape[0]
+    blocks = _mode_blocks(space, mode, budget, trials, seed)
     m = len(order)
     pos = {eid: j for j, eid in enumerate(order)}
-    kept_target = _rows_all_set(words, [pos[e] for e in sorted(target)])
-    rows = words[kept_target]
-    if family == "cut":
-        alone = g.component_counts(~rows) == g.component_count() + 1
-    else:
-        alone = _row_popcounts(rows, m) - g.n + g.component_counts(rows) == 1
-    ok = np.zeros(n_rows, dtype=bool)
-    ok[kept_target] = alone
 
-    def reason(i: int, vec: int) -> str:
-        if not kept_target[i]:
-            return f"chosen {family} lost an edge"
-        rival = _first_kept((s for s in members if s != target), pos, vec)
-        return f"rival {family} {sorted(rival)} also survived"
+    def verdict(block):
+        kept_target = _rows_all_set(block, [pos[e] for e in sorted(target)])
+        rows = block[kept_target]
+        if family == "cut":
+            alone = g.component_counts(~rows) == g.component_count() + 1
+        else:
+            alone = _row_popcounts(rows, m) - g.n + g.component_counts(rows) == 1
+        ok = np.zeros(block.shape[0], dtype=bool)
+        ok[kept_target] = alone
 
+        def reason(i: int, vec: int) -> str:
+            if not kept_target[i]:
+                return f"chosen {family} lost an edge"
+            rival = _first_kept((s for s in members if s != target), pos, vec)
+            return f"rival {family} {sorted(rival)} also survived"
+
+        return ok, {"target": int(kept_target.sum())}, reason
+
+    run = _fold(blocks, order, verdict)
     log_m = max(1, math.ceil(math.log2(max(m, 2))))
     if family == "cut":
         k_full, scale, defect, size_key = 2 * math.ceil(1.01 * ell), 10, 0, "min_cut_size"
     else:
         k_full, scale, defect, size_key = 2 * ell, 200, Fraction(1, max(m, 2) ** 500), "girth"
     return _report(
-        g, words, order, ok, reason,
+        g, run,
         theorem=f"chosen {family} survives alone",
         constants=(
             _const("independence_order", k_full, space.params.k),
@@ -638,7 +653,7 @@ def _unique_survival(
         mode=mode,
         seed=seed,
         generator=generator,
-        rates={"target_survives": Fraction(int(kept_target.sum()), n_rows)},
+        rates={"target_survives": Fraction(run.tallies["target"], run.rows)},
         extras={
             size_key: ell,
             "target_size": len(target),
@@ -706,21 +721,21 @@ def _dyadic_floor(p: Fraction, max_level: int) -> int:
 
 def _rate_space(rates: Mapping, order: Sequence[int], k: int, max_level: int,
                 mode: str, trials, seed: int, budget):
-    """(levels, space, words, descriptor) for per-edge keep rates.
+    """(levels, space, blocks, descriptor) for per-edge keep rates.
 
     Each rate is rounded down to 2^-level, and the space is an exact k-wise
     space whose coordinate i has marginal 2^-levels[i].  When every level is
-    0 (all rates clamped to 1) the space is None and its words are the single
-    all-ones row.
+    0 (all rates clamped to 1) the space is None and its one block is the
+    single all-ones row.
     """
     m = len(order)
     levels = [_dyadic_floor(Fraction(rates[eid]), max_level) for eid in order]
     if sum(levels) == 0:
         descriptor = {"construction": "constant_ones", "n": m, "seed_bits": 0}
-        return levels, None, _pack_words(np.ones((1, m), dtype=np.uint8)), descriptor
+        return levels, None, iter((_pack_words(np.ones((1, m), dtype=np.uint8)),)), descriptor
     underlying = build_kwise(sum(levels), k * max(levels))
     space = group_heterogeneous(underlying, levels, k, Fraction(0))
-    return levels, space, mode_words(space, mode, budget, trials, seed), space.descriptor()
+    return levels, space, _mode_blocks(space, mode, budget, trials, seed), space.descriptor()
 
 
 def sparsify_experiment(
@@ -752,30 +767,30 @@ def sparsify_experiment(
     m = len(order)
     table = leverage_scores(g)
     plan = sparsify_rates(g, table, k, epsilon, delta, rate_scale)
-    levels, space, words, descriptor = _rate_space(
+    levels, space, blocks, descriptor = _rate_space(
         plan.rates, order, k, max_level, mode, trials, seed, budget
     )
     rounded = {eid: Fraction(1, 1 << lv) for eid, lv in zip(order, levels)}
-    n_rows = words.shape[0]
 
     checker = edge_form_checker(g, epsilon)
     wtilde = np.array([float(g.weight(eid) / rounded[eid]) for eid in order])
-    kept_counts = _row_popcounts(words, m)
-    weight_rows = _unpack_words(words, m) * wtilde[None, :]
-    ok, lo, hi = checker.batch_verdicts(weight_rows)
 
-    def reason(i: int, vec: int) -> str:
-        return (
-            f"quadratic form ratio [{lo[i]:.4f}, {hi[i]:.4f}] outside 1+-{epsilon}"
-        )
+    def verdict(block):
+        ok, lo, hi = checker.batch_verdicts(_unpack_words(block, m) * wtilde[None, :])
 
-    hist: dict[str, int] = {}
-    for c in kept_counts.tolist():
-        hist[str(int(c))] = hist.get(str(int(c)), 0) + 1
+        def reason(i: int, vec: int) -> str:
+            return f"quadratic form ratio [{lo[i]:.4f}, {hi[i]:.4f}] outside 1+-{epsilon}"
+
+        # tallied by kept-edge count, in order of first appearance
+        return ok, Counter(_row_popcounts(block, m).tolist()), reason
+
+    run = _fold(blocks, order, verdict)
+    hist = {str(c): count for c, count in run.tallies.items()}
+    kept_total = sum(c * count for c, count in run.tallies.items())
     marginals = [Fraction(1)] * m if space is None else space.coordinate_marginals()
 
     return _report(
-        g, words, order, ok, reason,
+        g, run,
         theorem="reweighted sample approximates the quadratic form",
         constants=(
             _const("oversample_scale", 1.0, rate_scale),
@@ -786,7 +801,7 @@ def sparsify_experiment(
         seed=seed,
         generator=generator,
         rates={
-            "mean_kept_edges": Fraction(int(kept_counts.sum()), n_rows),
+            "mean_kept_edges": Fraction(kept_total, run.rows),
             "expected_kept_edges": sum(marginals, Fraction(0)),
         },
         extras={
@@ -839,12 +854,12 @@ def reweight_then_connectivity(
 
     order = g.edge_ids()
     m = len(order)
-    levels, space, words, descriptor = _rate_space(
+    levels, space, blocks, descriptor = _rate_space(
         plan.rates, order, k, max_level, mode, trials, seed, budget
     )
-    ok, reason, floor, _ = _components_kept(g, words, order, space)
+    verdict, floor, _ = _components_kept(g, order, space)
     return _report(
-        g, words, order, ok, reason,
+        g, _fold(blocks, order, verdict),
         theorem="weighted rates keep the graph in one piece",
         constants=(
             _const("oversample_scale", 1.0, rate_scale),
@@ -893,13 +908,19 @@ def conditional_bias_check(
     space's independence order; only applicable events are held to the
     2*delta / Pr[condition] bound.
     """
-    words = space.support_words(DEFAULT_ENUM_BUDGET if budget is None else budget)
-    n_rows = words.shape[0]
     marg = space.coordinate_marginals()
     cond = sorted(set(condition))
-    cond_mask = _rows_all_set(words, cond)
-    cond_count = int(cond_mask.sum())
-    pr_cond = Fraction(cond_count, n_rows)
+    events = [sorted(set(ev)) for ev in events]
+
+    def verdict(block):
+        # success is the condition; each event is tallied jointly with it
+        cond_mask = _rows_all_set(block, cond)
+        joint = [int((_rows_all_set(block, ev) & cond_mask).sum()) for ev in events]
+        return cond_mask, dict(enumerate(joint)), None
+
+    run = _fold(space.support_blocks(budget), (), verdict, cap=0)
+    cond_count = run.successes
+    pr_cond = Fraction(cond_count, run.rows)
     bound = None
     if cond_count:
         bound = 2 * space.params.delta / pr_cond
@@ -907,9 +928,8 @@ def conditional_bias_check(
     rows = []
     worst = Fraction(0)
     ok = True
-    for ev in events:
-        ev = sorted(set(ev))
-        joint = int((_rows_all_set(words, ev) & cond_mask).sum())
+    for j, ev in enumerate(events):
+        joint = run.tallies[j]
         pr_ref = Fraction(1)
         for c in ev:
             pr_ref *= marg[c]

@@ -168,6 +168,7 @@ class Graph:
         self._edges = items
         self._adj: dict[int, list[tuple[int, int]]] | None = None
         self._schedule: _Elimination | None = None
+        self._count: int | None = None  # components of the whole graph
 
     # -- basic accessors ---------------------------------------------------
 
@@ -233,7 +234,9 @@ class Graph:
 
     def component_count(self, eids=None) -> int:
         """Components of the subgraph kept by eids (every edge when None)."""
-        return self.union_find(eids).count
+        if eids is None and self._count is None:
+            self._count = self.union_find().count
+        return self._count if eids is None else self.union_find(eids).count
 
     def component_counts(self, words) -> np.ndarray:
         """Component count of the kept subgraph, one per row of a word matrix.

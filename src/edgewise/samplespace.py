@@ -27,9 +27,10 @@ the distribution.  Support vectors are always word rows: uint64 arrays with
 bit j % 64 of word j // 64 holding coordinate j.  The two base constructions
 are GF(2)-linear on blocks of seeds: seed s lies in block s >> r, and its low
 r bits pick which of the block's r generator rows (``_generators``) to XOR.
-``support_words`` spans every block by XOR doubling; ``sample_words`` draws
-seeds and XORs the generator rows of the drawn ones, building rows only for
-the blocks it drew.  ``GroupedSpace`` ANDs groups of its underlying rows.
+``support_blocks`` spans the support from them by XOR doubling, in seed
+order and blocks of at most 2^16 rows, so a consumer holds one block at a
+time; ``sample_words`` XORs the generator rows of drawn seeds, building rows
+only for the blocks it drew.  ``GroupedSpace`` ANDs groups of underlying rows.
 
 ``verify_independence`` measures the exact TV distance without enumerating.
 Both base constructions are GF(2)-linear in the seed (the small-bias one on
@@ -57,6 +58,7 @@ from .gf2 import field
 DEFAULT_ENUM_BUDGET = 1 << 24
 
 _WORD = 64
+_BLOCK_ROWS = 1 << 16  # most rows in one support block; a power of two
 
 
 class SupportTooLargeError(RuntimeError):
@@ -199,12 +201,19 @@ class SampleSpace:
         if self.support_size > limit:
             raise SupportTooLargeError(self.seed_bits, limit)
 
+    def support_blocks(self, budget: int | None = None):
+        """Support in seed order as (rows, ceil(n/64)) uint64 blocks of at most
+        _BLOCK_ROWS rows, checking the budget first; one block is kept."""
+        self._check_budget(budget)
+        if self.support_size > _BLOCK_ROWS:
+            return self._blocks()
+        if self._support is None:
+            self._support = next(self._blocks())
+        return iter((self._support,))
+
     def support_words(self, budget: int | None = None) -> np.ndarray:
         """Support as a (2^seed_bits, ceil(n/64)) uint64 array, seed order."""
-        self._check_budget(budget)
-        if self._support is None:
-            self._support = self._build_support()
-        return self._support
+        return np.concatenate(list(self.support_blocks(budget)))
 
     def sample_words(self, count: int, seed: int = 0) -> np.ndarray:
         """Monte Carlo fallback: word rows of `count` independently drawn seeds.
@@ -215,11 +224,22 @@ class SampleSpace:
         top = self.support_size
         return self._seed_words([rng.randrange(top) for _ in range(count)])
 
-    def _build_support(self) -> np.ndarray:
+    def _blocks(self):
+        """Blocks of support_blocks: the span of the low generator rows of
+        `per` generator blocks, then, when a block is smaller than one, that
+        span XOR each nonzero offset the high rows span."""
         r = self._span_bits
-        rows = _pack_words(self._generators(np.arange(self.support_size >> r)))
-        out = np.empty((rows.shape[0], 1 << r, rows.shape[2]), dtype=np.uint64)
-        return _span_into(out, rows).reshape(self.support_size, rows.shape[2])
+        size = min(_BLOCK_ROWS, self.support_size)
+        low_bits = min(r, size.bit_length() - 1)
+        per = size >> low_bits
+        gens = _pack_words(self._generators(np.arange(self.support_size >> r)))
+        w = gens.shape[2]
+        for x in range(0, gens.shape[0], per):
+            low = np.empty((per, 1 << low_bits, w), dtype=np.uint64)
+            low = _span_into(low, gens[x : x + per, :low_bits]).reshape(size, w)
+            high = np.empty((1 << (r - low_bits), w), dtype=np.uint64)
+            yield low
+            yield from (low ^ offset for offset in _span_into(high, gens[x, low_bits:])[1:])
 
     def _seed_words(self, seeds: list[int]) -> np.ndarray:
         r = self._span_bits
@@ -339,8 +359,8 @@ class GroupedSpace(SampleSpace):
         self.groups = groups
         super().__init__(params, seed_bits=underlying.seed_bits)
 
-    def _build_support(self) -> np.ndarray:
-        return self._and_groups(self.underlying._build_support())
+    def _blocks(self):
+        return map(self._and_groups, self.underlying._blocks())
 
     def _seed_words(self, seeds: list[int]) -> np.ndarray:
         return self._and_groups(self.underlying._seed_words(seeds))
@@ -649,8 +669,14 @@ def mode_words(space: SampleSpace, mode: str, budget: int | None, count, seed: i
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def dump_blocks(space: SampleSpace, budget: int | None = None):
+    """dump_support one support block of text at a time."""
+    for block in space.support_blocks(budget):
+        bits = _unpack_words(block, space.params.n)
+        newline = np.full((bits.shape[0], 1), ord("\n"), dtype=np.uint8)
+        yield np.concatenate([bits + ord("0"), newline], axis=1).tobytes().decode("ascii")
+
+
 def dump_support(space: SampleSpace, budget: int | None = None) -> str:
     """Newline-separated bitstrings, position 0 leftmost, seed order."""
-    bits = _unpack_words(space.support_words(budget), space.params.n)
-    newline = np.full((bits.shape[0], 1), ord("\n"), dtype=np.uint8)
-    return np.concatenate([bits + ord("0"), newline], axis=1).tobytes().decode("ascii")
+    return "".join(dump_blocks(space, budget))

@@ -3,10 +3,12 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from edgewise import samplespace
 from edgewise.basisfind import PreconditionError
 from edgewise.experiments import (
     ExperimentReport,
@@ -29,6 +31,7 @@ from edgewise.samplespace import (
     almost_builder,
     build_almost_kwise,
     build_kwise,
+    dump_support,
     exact_builder,
     group_heterogeneous,
     verify_independence,
@@ -626,3 +629,74 @@ def test_support_too_large_propagates():
     g = gen_graph("multi_cycle", {"length": 2, "copies": 10})
     with pytest.raises(SupportTooLargeError):
         connectivity_experiment(g, build_kwise(20, 8), budget=1 << 10)
+
+
+# ---------------------------------------------------------------------------
+# support blocks
+
+
+def _two_triangles():
+    return Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+
+
+# each builds its space afresh, so no support is kept from an earlier run
+BLOCK_RUNS = {
+    # 256 failing rows; the ten witnesses span rows 0..34
+    "connectivity": lambda: connectivity_experiment(
+        gen_graph("multi_cycle", {"length": 2, "copies": 4}), build_kwise(8, 3)
+    ).to_json(),
+    # witnesses alternate "fewer than the edge floor" and a named cycle
+    "cyclefree": lambda: cyclefree_experiment(
+        gen_graph("cycle", {"length": 5}), build_kwise(5, 3)
+    ).to_json(),
+    "unique_cut": lambda: unique_cut_survival_experiment(
+        _two_triangles(), [1, 2], build_kwise(6, 4)
+    ).to_json(),
+    "unique_cycle": lambda: unique_cycle_survival_experiment(
+        gen_graph("multi_cycle", {"length": 2, "copies": 3}), [1, 2], build_kwise(6, 4)
+    ).to_json(),
+    "sparsify": lambda: sparsify_experiment(
+        gen_graph("dumbbell", {"left": 5, "right": 5}), 2, 0.9, 0.45, rate_scale=5e-4
+    ).to_json(),
+    "reweight": lambda: reweight_then_connectivity(
+        gen_graph("multi_cycle", {"length": 4, "copies": 4}), 2, rate_scale=5e-4
+    ).to_json(),
+    "conditional_bias": lambda: repr(
+        conditional_bias_check(build_almost_kwise(10, 3, Fraction(1, 8)), [0], [[1], [2], [1, 2]])
+    ),
+    "dump_support": lambda: dump_support(build_almost_kwise(6, 2, Fraction(1, 4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_RUNS))
+def test_reports_do_not_depend_on_the_block_size(name, monkeypatch):
+    whole = BLOCK_RUNS[name]()
+    monkeypatch.setattr(samplespace, "_BLOCK_ROWS", 1 << 3)
+    assert BLOCK_RUNS[name]() == whole
+
+
+def test_block_runs_cross_block_boundaries():
+    # witness rows are numbered over the whole support, so at blocks of 2^3
+    # rows these runs keep witnesses from more than one block
+    conn = json.loads(BLOCK_RUNS["connectivity"]())
+    assert conn["counts"]["trials"] - conn["counts"]["successes"] > 10
+    assert len({w["row"] // 8 for w in conn["witnesses"]}) > 1
+    cyclefree = json.loads(BLOCK_RUNS["cyclefree"]())["witnesses"]
+    assert len({w["row"] // 8 for w in cyclefree}) > 1
+    assert {w["reason"].split()[0] for w in cyclefree} == {"fewer", "cycle"}
+    for name in ("unique_cut", "unique_cycle", "sparsify", "reweight"):
+        assert json.loads(BLOCK_RUNS[name]())["counts"]["trials"] > 8, name
+
+
+def test_streamed_connectivity_holds_one_block():
+    # a 2^22-row support: 32 MB as one array, 0.5 MB per block
+    g = gen_graph("expander_like", {"vertices": 8, "degree": 8})
+    space = build_almost_kwise(32, 8, Fraction(1, 8))
+    assert space.support_size == 1 << 22
+    tracemalloc.start()
+    try:
+        connectivity_experiment(g, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20

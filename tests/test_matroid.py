@@ -384,6 +384,25 @@ def test_rank_matches_brute_force_on_every_subset(kind, seed):
         assert _rank(g, kind, S) == r, sorted(S)
 
 
+def test_cographic_rank_sweep_counts_the_whole_graph_once(monkeypatch):
+    # c(E) is the same for every subset, so a sweep joins every edge once
+    whole = []
+    union_find = Graph.union_find
+
+    def counting(self, eids=None):
+        if eids is None:
+            whole.append(self)
+        return union_find(self, eids)
+
+    graphs = [rank_test_graph(seed) for seed in range(3)]
+    sweeps = [list(itertools.islice(brute_force_ranks(g, COGRAPHIC), 64)) for g in graphs]
+    monkeypatch.setattr(Graph, "union_find", counting)
+    for g, subsets in zip(graphs, sweeps):
+        for S in subsets:
+            _rank(g, COGRAPHIC, S)
+    assert whole == graphs
+
+
 @pytest.mark.parametrize("kind", [GRAPHIC, COGRAPHIC])
 @pytest.mark.parametrize("seed", range(6))
 def test_session_rank_is_minor_rank(kind, seed):

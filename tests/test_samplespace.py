@@ -454,6 +454,91 @@ def test_support_words_bytes_pinned(space, digest):
     assert hashlib.sha256(words.tobytes()).hexdigest() == digest
 
 
+# sha256 of whole-support bytes, recorded from the builder that made the
+# support as one array before supports came in blocks
+BLOCK_SPACES = {
+    # 2^20 seeds in one span: each block is the low span XOR a high offset
+    "kwise(20,4)": (
+        lambda: build_kwise(20, 4),
+        "be52eb33f91cb5763e39a50f604b4e71b6ae9f91f4a8733211cf38e2430f2095",
+    ),
+    "kwise(70,3)": (
+        lambda: build_kwise(70, 3),
+        "7d4a32273839d6f2998f72984e738153e9fac5fe1e01e1031689716e41df14e5",
+    ),
+    # 2^8 x-blocks of 2^8 seeds in one block
+    "almost(12,4,1/8)": (
+        lambda: build_almost_kwise(12, 4, Fraction(1, 8)),
+        "58f3155bbd2a7dada4cefc14cbb046874898ecb3ae0af4ceccacea63cabb2a3d",
+    ),
+    "almost(32,3,1/16)": (
+        lambda: build_almost_kwise(32, 3, Fraction(1, 16)),
+        "4b5298f64ee2f52cbff207cba1d12842d0bb00d093a7be2ae34a00953b590477",
+    ),
+    "marginal(almost(18,4,1/8),L=2)": (
+        lambda: with_marginal(almost_builder, 9, 2, Fraction(1, 8), 2),
+        "a37c7150f6ac47c96580e3cac3f268ac7222c0ce37573d8518a01d29203e5a72",
+    ),
+    "complemented(almost(18,4,1/8),L=2)": (
+        lambda: with_marginal(almost_builder, 9, 2, Fraction(1, 8), 2, complemented=True),
+        "daaf7044ab5a98549084f0c9521ecc96badd4d868d5db012a8e1df78982e00b8",
+    ),
+    "heterogeneous-empty-group": (
+        lambda: grouped_space("heterogeneous-empty-group"),
+        GROUPED_SUPPORT_SHA256["heterogeneous-empty-group"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_SPACES))
+def test_support_blocks_join_to_the_pinned_support(name):
+    build, digest = BLOCK_SPACES[name]
+    space = build()
+    blocks = list(space.support_blocks(1 << 22))
+    assert all(0 < len(b) <= samplespace._BLOCK_ROWS for b in blocks)
+    words = np.concatenate(blocks)
+    assert words.shape == (space.support_size, -(-space.params.n // 64))
+    assert hashlib.sha256(words.tobytes()).hexdigest() == digest
+    assert hashlib.sha256(space.support_words(1 << 22).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        build_kwise(5, 3),
+        build_almost_kwise(6, 2, Fraction(1, 4)),
+        build_almost_kwise(70, 2, QUARTER),
+        with_marginal(almost_builder, 3, 1, HALF, 2, complemented=True),
+    ],
+    ids=["kwise(5,3)", "almost(6,2,1/4)", "almost(70,2,1/4)", "complemented"],
+)
+def test_small_blocks_split_every_span(space, monkeypatch):
+    # at 2^3 rows a block is smaller than every small-bias x-block too
+    whole = space.support_words()
+    monkeypatch.setattr(samplespace, "_BLOCK_ROWS", 1 << 3)
+    blocks = list(space.support_blocks())
+    assert {len(b) for b in blocks} == {8}
+    assert np.array_equal(np.concatenate(blocks), whole)
+
+
+def test_support_blocks_check_the_budget_before_any_block(monkeypatch):
+    space = build_kwise(20, 4)
+    monkeypatch.setattr(space, "_blocks", lambda: pytest.fail("a block was built"))
+    with pytest.raises(SupportTooLargeError):
+        space.support_blocks(budget=1 << 10)
+    with pytest.raises(SupportTooLargeError):
+        next(samplespace.dump_blocks(space, budget=1 << 10))
+
+
+def test_only_a_one_block_support_is_kept():
+    small = build_kwise(12, 4)  # 2^16 seeds: one block
+    first = next(small.support_blocks())
+    assert next(small.support_blocks()) is first
+    big = build_kwise(20, 4)
+    assert sum(len(b) for b in big.support_blocks()) == 1 << 20
+    assert big._support is None
+
+
 def test_dump_support_pinned():
     # captured from the per-row int walk the bitstrings were built with
     text = dump_support(build_kwise(5, 3))
