@@ -773,7 +773,7 @@ def sparsify_experiment(
     rounded = {eid: Fraction(1, 1 << lv) for eid, lv in zip(order, levels)}
 
     checker = edge_form_checker(g, epsilon)
-    wtilde = np.array([float(g.weight(eid) / rounded[eid]) for eid in order])
+    wtilde = g.edge_record().floats * np.ldexp(1.0, levels)  # w / 2^-level, exactly
 
     def verdict(block):
         ok, lo, hi = checker.batch_verdicts(_unpack_words(block, m) * wtilde[None, :])

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +29,7 @@ from .samplespace import _exact_dtype
 
 _WORD = 64
 _CHUNK = 1 << 15  # most rows per component-count block
+_ONE = Fraction(1)
 
 
 class UnionFind:
@@ -139,36 +141,71 @@ def _as_weight(w) -> Fraction:
     return w
 
 
+def _as_int(x, what: str) -> int:
+    """x as a Python int >= 0; bools, floats and strings are rejected."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < 0:
+        raise ValueError(f"{what} must be an int >= 0, not {x!r}")
+    return int(x)
+
+
+def _checked(n: int, items):
+    """Yield (id, u, v, w) of each (id, (u, v) or (u, v, w)) item, checked
+    against n vertices; w is 1 when absent."""
+    for eid, e in items:
+        if len(e) == 2:
+            (u, v), w = e, _ONE
+        else:
+            u, v, w = e
+            w = _as_weight(w)
+        if not (type(eid) is type(u) is type(v) is int):  # the common case is checked fast
+            eid, u, v = (_as_int(x, "edge id or endpoint") for x in (eid, u, v))
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge {eid} endpoint out of range")
+        if eid < 1:
+            raise ValueError("edge ids must be >= 1")
+        yield eid, u, v, w
+
+
+@dataclass(frozen=True)
+class EdgeRecord:
+    """A graph's edges as read-only arrays, in id order (Graph.edge_record).
+
+    ints are the weights times scale, the LCM of their denominators: exact,
+    int64 while twice their sum stays below 2^62 (so any sum of entries
+    fits), Python ints beyond.  floats are float(w) of each weight, not
+    ints / scale, which rounds once scale passes 2^53.
+    """
+
+    ids: np.ndarray  # (m,) intp
+    ends: np.ndarray  # (m, 2) intp endpoints
+    ints: np.ndarray
+    scale: int
+    floats: np.ndarray
+
+
 class Graph:
     """Immutable weighted multigraph; edges keyed by stable positive ids."""
 
-    def __init__(self, n: int, edges=(), _indexed: dict | None = None):
-        if n < 0:
-            raise ValueError("n must be >= 0")
+    def __init__(self, n: int, edges=()):
+        n = _as_int(n, "n")
+        self._fill(n, _checked(n, enumerate(edges, 1)))
+
+    def _fill(self, n: int, edges) -> None:
+        """Set up from (id, u, v, w) edges in ascending id order, trusted;
+        loops are dropped, their ids consumed."""
         self.n = n
-        items: dict[int, tuple[int, int, Fraction]] = {}
-        if _indexed is not None:
-            source = _indexed.items()
-        else:
-            source = ((i + 1, e) for i, e in enumerate(edges))
-        for eid, e in source:
-            if len(e) == 2:
-                u, v = e
-                w = Fraction(1)
-            else:
-                u, v, w = e
-                w = _as_weight(w)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {eid} endpoint out of range")
-            if eid < 1:
-                raise ValueError("edge ids must be >= 1")
-            if u == v:
-                continue  # loop dropped, id consumed
-            items[eid] = (u, v, w)
-        self._edges = items
+        self._edges = {eid: (u, v, w) for eid, u, v, w in edges if u != v}
         self._adj: dict[int, list[tuple[int, int]]] | None = None
         self._schedule: _Elimination | None = None
         self._count: int | None = None  # components of the whole graph
+        self._record: EdgeRecord | None = None
+
+    @classmethod
+    def _trusted(cls, n: int, edges) -> "Graph":
+        """The derived-graph path: _fill without validating anything."""
+        g = cls.__new__(cls)
+        g._fill(n, edges)
+        return g
 
     # -- basic accessors ---------------------------------------------------
 
@@ -177,7 +214,7 @@ class Graph:
         return len(self._edges)
 
     def edge_ids(self) -> list[int]:
-        return sorted(self._edges)
+        return list(self._edges)
 
     def edge(self, eid: int) -> tuple[int, int, Fraction]:
         return self._edges[eid]
@@ -187,8 +224,7 @@ class Graph:
 
     def edges(self):
         """Yield (id, u, v, w) in id order."""
-        for eid in sorted(self._edges):
-            u, v, w = self._edges[eid]
+        for eid, (u, v, w) in self._edges.items():
             yield eid, u, v, w
 
     def weight(self, eid: int) -> Fraction:
@@ -196,6 +232,24 @@ class Graph:
 
     def total_weight(self) -> Fraction:
         return sum((w for _, _, _, w in self.edges()), Fraction(0))
+
+    def edge_record(self) -> EdgeRecord:
+        """The edges as arrays (EdgeRecord), built on first use and cached."""
+        if self._record is None:
+            edges = self._edges.values()
+            scale = math.lcm(*(w.denominator for _, _, w in edges))
+            ints = [w.numerator * (scale // w.denominator) for _, _, w in edges]
+            rec = EdgeRecord(
+                ids=np.fromiter(self._edges, dtype=np.intp, count=self.m),
+                ends=np.array([(u, v) for u, v, _ in edges], dtype=np.intp).reshape(-1, 2),
+                ints=np.array(ints, dtype=_exact_dtype(sum(ints).bit_length())),
+                scale=scale,
+                floats=np.array([float(w) for _, _, w in edges]),
+            )
+            for a in (rec.ids, rec.ends, rec.ints, rec.floats):
+                a.flags.writeable = False
+            self._record = rec
+        return self._record
 
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
         """vertex -> [(neighbor, edge_id)], sorted; parallel edges repeat."""
@@ -266,7 +320,7 @@ class Graph:
         if words.ndim != 2 or words.shape[1] * _WORD < self.m:
             raise ValueError(f"need a (rows, {-(-self.m // _WORD)}) word matrix")
         if self._schedule is None:
-            self._schedule = _elimination_schedule(self.n, [(u, v) for _, u, v, _ in self.edges()])
+            self._schedule = _elimination_schedule(self.n, self.edge_record().ends.tolist())
         plan = self._schedule
         row_bytes = self.n * plan.words * plan.dtype.itemsize
         step = max(1, min(_CHUNK, _CHUNK * (self.n + self.m) // max(row_bytes, 1)))
@@ -314,11 +368,7 @@ class Graph:
         )
 
     def cut_weight(self, side) -> Fraction:
-        s = set(side)
-        return sum(
-            (w for _, u, v, w in self.edges() if (u in s) != (v in s)),
-            Fraction(0),
-        )
+        return sum((self.weight(e) for e in self.crossing_edges(side)), Fraction(0))
 
     # -- minimum cut ---------------------------------------------------------
 
@@ -350,28 +400,13 @@ class Graph:
         outside = tuple(sorted(set(range(self.n)) - set(side)))
         return min(inside, outside)
 
-    def _scaled_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """(ids, ends, weights, scale), edges in stored order: ids, (m, 2)
-        endpoints, and the weights times the LCM of their denominators, exact
-        integers; int64 while twice the scaled total stays below 2^62 (so any
-        sum of entries fits), Python ints beyond."""
-        scale = math.lcm(*(w.denominator for _, _, w in self._edges.values()))
-        ints = [w.numerator * (scale // w.denominator) for _, _, w in self._edges.values()]
-        ends = [(u, v) for u, v, _ in self._edges.values()]
-        return (
-            np.array(list(self._edges), dtype=np.intp),
-            np.array(ends, dtype=np.intp).reshape(-1, 2),
-            np.array(ints, dtype=_exact_dtype(sum(ints).bit_length())),
-            scale,
-        )
-
     def scaled_adjacency(self) -> tuple[np.ndarray, int]:
-        """(A, scale): symmetric n x n sums of the scaled edge weights
-        (_scaled_weights), int64 or Python ints by the same rule."""
-        _, ends, ints, scale = self._scaled_weights()
-        A = np.zeros((self.n, self.n), dtype=ints.dtype)
-        np.add.at(A, (ends[:, 0], ends[:, 1]), ints)
-        return A + A.T, scale
+        """(A, scale): symmetric n x n sums of the record's scaled weights
+        (edge_record), int64 or Python ints by the same rule."""
+        rec = self.edge_record()
+        A = np.zeros((self.n, self.n), dtype=rec.ints.dtype)
+        np.add.at(A, (rec.ends[:, 0], rec.ends[:, 1]), rec.ints)
+        return A + A.T, rec.scale
 
     def _stoer_wagner(self) -> tuple[Fraction, tuple]:
         """(value, canonical side) of the least cut of the phase; connected graph."""
@@ -412,13 +447,14 @@ class Graph:
         difference is a union of components, and inside one component that
         leaves only equal sides.  The sides of a component are one boolean
         matrix, their crossing edges one comparison of its endpoint columns,
-        and their values integer sums of _scaled_weights().  Returns a list of
+        and their values integer sums of the record's scaled weights.  Returns a list of
         (edge_ids frozenset, side frozenset, value) sorted by (value, sorted
         side).
         """
         if self.n > max_vertices:
             raise ValueError(f"cut enumeration capped at {max_vertices} vertices")
-        ids, ends, ints, scale = self._scaled_weights()
+        rec = self.edge_record()
+        ids, ends, ints = rec.ids, rec.ends, rec.ints
         cuts = []
         for comp in self.components():
             r = len(comp) - 1
@@ -432,7 +468,7 @@ class Graph:
             cuts.extend(zip((cross @ ints).tolist(), _row_lists(member), _row_lists(cross, ids)))
         cuts.sort(key=lambda t: t[:2])  # (value, sorted side); sides are distinct
         return [
-            (frozenset(eids), frozenset(side), Fraction(value, scale))
+            (frozenset(eids), frozenset(side), Fraction(value, rec.scale))
             for value, side, eids in cuts
         ]
 
@@ -440,15 +476,9 @@ class Graph:
 
     def girth(self) -> int | None:
         """Number of edges on a shortest cycle; None if the graph is a forest."""
-        pair_seen = set()
-        simple: dict[int, set[int]] = {v: set() for v in range(self.n)}
-        for _, u, v, _ in self.edges():
-            key = (min(u, v), max(u, v))
-            if key in pair_seen:
-                return 2  # parallel pair
-            pair_seen.add(key)
-            simple[u].add(v)
-            simple[v].add(u)
+        simple = [sorted({x for x, _ in nbrs}) for nbrs in self.adjacency().values()]
+        if sum(map(len, simple)) < 2 * self.m:
+            return 2  # parallel pair
         best: int | None = None
         for root in range(self.n):
             dist = {root: 0}
@@ -458,7 +488,7 @@ class Graph:
                 u = q.popleft()
                 if best is not None and dist[u] * 2 >= best:
                     continue
-                for v in sorted(simple[u]):
+                for v in simple[u]:
                     if v not in dist:
                         dist[v] = dist[u] + 1
                         parent[v] = u
@@ -510,24 +540,19 @@ class Graph:
 
     # -- surgery -------------------------------------------------------------
 
-    def _replace_edges(self, indexed: dict) -> "Graph":
-        return Graph(self.n, _indexed=indexed)
+    def _known(self, eids) -> set:
+        ids = set(eids)
+        missing = ids - self._edges.keys()
+        if missing:
+            raise KeyError(f"unknown edge ids {sorted(missing)}")
+        return ids
 
     def delete_edges(self, eids) -> "Graph":
-        drop = set(eids)
-        missing = drop - set(self._edges)
-        if missing:
-            raise KeyError(f"unknown edge ids {sorted(missing)}")
-        return self._replace_edges(
-            {e: t for e, t in self._edges.items() if e not in drop}
-        )
+        return self.keep_edges(self._edges.keys() - self._known(eids))
 
     def keep_edges(self, eids) -> "Graph":
-        keep = set(eids)
-        missing = keep - set(self._edges)
-        if missing:
-            raise KeyError(f"unknown edge ids {sorted(missing)}")
-        return self._replace_edges({e: self._edges[e] for e in keep})
+        keep = self._known(eids)
+        return Graph._trusted(self.n, (e for e in self.edges() if e[0] in keep))
 
     def contract_partition(self, parts) -> tuple["Graph", dict[int, int]]:
         """Merge each part to one vertex.  Returns (graph, old->new map).
@@ -536,24 +561,16 @@ class Graph:
         of smallest member.  Edges inside a part vanish (ids consumed); edges
         across parts survive with their ids.
         """
-        seen: set[int] = set()
-        norm = []
-        for part in parts:
-            pset = set(part)
-            if not pset:
-                raise ValueError("empty part")
-            if pset & seen:
-                raise ValueError("parts overlap")
-            seen |= pset
-            norm.append(sorted(pset))
-        if seen != set(range(self.n)):
+        norm = sorted(sorted(set(part)) for part in parts)  # disjoint: by smallest member
+        if norm and not norm[0]:
+            raise ValueError("empty part")
+        flat = [v for part in norm for v in part]
+        if len(flat) != len(set(flat)):
+            raise ValueError("parts overlap")
+        if set(flat) != set(range(self.n)):
             raise ValueError("parts must cover all vertices")
-        norm.sort(key=lambda p: p[0])
         vmap = {v: i for i, part in enumerate(norm) for v in part}
-        indexed = {}
-        for eid, (u, v, w) in self._edges.items():
-            indexed[eid] = (vmap[u], vmap[v], w)
-        g = Graph(len(norm), _indexed=indexed)
+        g = Graph._trusted(len(norm), ((e, vmap[u], vmap[v], w) for e, u, v, w in self.edges()))
         return g, vmap
 
     def contract_edges(self, eids) -> tuple["Graph", dict[int, int]]:
@@ -569,24 +586,22 @@ class Graph:
         """
         if s < 1:
             raise ValueError("s must be >= 1")
-        indexed = {}
+        edges = []
         next_v = self.n
         for eid, u, v, w in self.edges():
             chain = [u] + list(range(next_v, next_v + s - 1)) + [v]
             next_v += s - 1
             for j in range(s):
-                indexed[(eid - 1) * s + j + 1] = (chain[j], chain[j + 1], w)
-        return Graph(next_v, _indexed=indexed)
+                edges.append(((eid - 1) * s + j + 1, chain[j], chain[j + 1], w))
+        return Graph._trusted(next_v, edges)
 
     def duplicate_edges(self, s: int) -> "Graph":
         """Replace each edge by s parallel copies, ids (i-1)*s + 1 .. i*s."""
         if s < 1:
             raise ValueError("s must be >= 1")
-        indexed = {}
-        for eid, u, v, w in self.edges():
-            for j in range(s):
-                indexed[(eid - 1) * s + j + 1] = (u, v, w)
-        return Graph(self.n, _indexed=indexed)
+        return Graph._trusted(self.n, (
+            ((eid - 1) * s + j + 1, u, v, w) for eid, u, v, w in self.edges() for j in range(s)
+        ))
 
     def induced_subgraph(self, vertices) -> tuple["Graph", dict[int, int]]:
         """Subgraph on the given vertices, relabeled 0.. in sorted order.
@@ -597,21 +612,21 @@ class Graph:
         if vs and not (0 <= vs[0] and vs[-1] < self.n):
             raise ValueError("vertex out of range")
         vmap = {v: i for i, v in enumerate(vs)}
-        indexed = {}
-        for eid, (u, v, w) in self._edges.items():
-            if u in vmap and v in vmap:
-                indexed[eid] = (vmap[u], vmap[v], w)
-        return Graph(len(vs), _indexed=indexed), vmap
+        g = Graph._trusted(len(vs), (
+            (e, vmap[u], vmap[v], w) for e, u, v, w in self.edges() if u in vmap and v in vmap
+        ))
+        return g, vmap
 
     def with_weights(self, mapping) -> "Graph":
-        """Same graph with weights replaced per edge id (others unchanged)."""
-        indexed = {}
-        for eid, (u, v, w) in self._edges.items():
-            indexed[eid] = (u, v, _as_weight(mapping.get(eid, w)))
-        return self._replace_edges(indexed)
+        """Same graph with weights replaced per edge id (others unchanged);
+        only the supplied weights of this graph's edges are checked."""
+        return Graph._trusted(self.n, (
+            (e, u, v, _as_weight(mapping[e]) if e in mapping else w)
+            for e, u, v, w in self.edges()
+        ))
 
     def with_unit_weights(self) -> "Graph":
-        return self.with_weights({eid: Fraction(1) for eid in self._edges})
+        return Graph._trusted(self.n, ((e, u, v, _ONE) for e, u, v, _ in self.edges()))
 
     # -- serialization ---------------------------------------------------------
 
@@ -619,10 +634,7 @@ class Graph:
         """1-based text form; edge ids are renumbered 1..m in id order."""
         lines = [f"{self.n} {self.m}"]
         for _, u, v, w in self.edges():
-            if w == 1:
-                lines.append(f"{u + 1} {v + 1}")
-            else:
-                lines.append(f"{u + 1} {v + 1} {w}")
+            lines.append(f"{u + 1} {v + 1}" + ("" if w == 1 else f" {w}"))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -630,17 +642,12 @@ class Graph:
         rows = [ln.split() for ln in text.splitlines() if ln.strip()]
         if not rows:
             raise ValueError("empty graph text")
+        if len(rows[0]) != 2 or any(len(row) not in (2, 3) for row in rows[1:]):
+            raise ValueError("graph text must be an 'n m' line, then one 'u v [w]' line per edge")
         n, m = int(rows[0][0]), int(rows[0][1])
         if len(rows) - 1 != m:
             raise ValueError(f"expected {m} edge lines, got {len(rows) - 1}")
-        edges = []
-        for row in rows[1:]:
-            u, v = int(row[0]) - 1, int(row[1]) - 1
-            if len(row) > 2:
-                edges.append((u, v, Fraction(row[2])))
-            else:
-                edges.append((u, v))
-        return cls(n, edges)
+        return cls(n, [(int(r[0]) - 1, int(r[1]) - 1, *map(Fraction, r[2:])) for r in rows[1:]])
 
     def to_json(self) -> str:
         payload = {
@@ -655,10 +662,11 @@ class Graph:
     @classmethod
     def from_json(cls, text: str) -> "Graph":
         payload = json.loads(text)
-        indexed = {
-            e["id"]: (e["u"], e["v"], Fraction(e["w"])) for e in payload["edges"]
-        }
-        return cls(payload["n"], _indexed=indexed)
+        n = _as_int(payload["n"], "n")
+        edges = sorted(_checked(n, ((e["id"], (e["u"], e["v"], e["w"])) for e in payload["edges"])))
+        if len({e[0] for e in edges}) < len(edges):
+            raise ValueError("duplicate edge ids")
+        return cls._trusted(n, edges)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

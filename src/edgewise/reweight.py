@@ -214,9 +214,8 @@ def reweight_min_cut(g: Graph, delta_param="auto") -> WeightingResult:
     edge count at least halves per level, and the unit min cut never drops
     under contraction (both asserted).
     """
-    for eid in g.edge_ids():
-        if g.weight(eid) != 1:
-            raise ValueError("reweighting expects unit input weights")
+    if any(w != 1 for *_, w in g.edges()):
+        raise ValueError("reweighting expects unit input weights")
     if not g.is_connected():
         raise ValueError("reweighting expects a connected graph")
     delta = auto_delta(g.n, g.m) if delta_param == "auto" else int(delta_param)

@@ -9,6 +9,7 @@ few hundred vertices.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,15 +19,9 @@ from .graph import Graph, UnionFind
 KERNEL_REL_TOL = 1e-9
 LEVERAGE_SUM_TOL = 1e-6
 
-
-def _edge_arrays(g: Graph):
-    """(u, v, w): endpoints and float weights of g's edges in id order, cached on g."""
-    cached = getattr(g, "_spectral_edges", None)
-    if cached is None:
-        ends = np.array([(u, v) for _, u, v, _ in g.edges()], dtype=np.intp).reshape(-1, 2)
-        w = np.array([float(w) for _, _, _, w in g.edges()], dtype=float)
-        cached = g._spectral_edges = (ends[:, 0], ends[:, 1], w)
-    return cached
+# per-graph solves, dropped with their graph
+_EIGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_PINVS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _build_laplacian(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -43,8 +38,9 @@ def _build_laplacian(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.
 
 def laplacian(g: Graph) -> np.ndarray:
     """Dense Laplacian: degree matrix minus weighted adjacency, from g's
-    edge arrays in id order by the builder resistance_diameter also uses."""
-    return _build_laplacian(g.n, *_edge_arrays(g))
+    edge record in id order by the builder resistance_diameter also uses."""
+    rec = g.edge_record()
+    return _build_laplacian(g.n, rec.ends[:, 0], rec.ends[:, 1], rec.floats)
 
 
 def _checked_eigh(L: np.ndarray, n_comp: int):
@@ -62,10 +58,9 @@ def _checked_eigh(L: np.ndarray, n_comp: int):
 
 def _eig(g: Graph):
     """Cached eigendecomposition of the Laplacian, kernel dimension checked."""
-    cached = getattr(g, "_spectral_eig", None)
-    if cached is None:
-        cached = g._spectral_eig = _checked_eigh(laplacian(g), g.component_count())
-    return cached
+    if g not in _EIGS:
+        _EIGS[g] = _checked_eigh(laplacian(g), g.component_count())
+    return _EIGS[g]
 
 
 def _pinv(vals, vecs, kernel_dim) -> np.ndarray:
@@ -78,13 +73,14 @@ def _pinv(vals, vecs, kernel_dim) -> np.ndarray:
 
 def pseudoinverse(g: Graph) -> np.ndarray:
     """Moore-Penrose pseudoinverse of the Laplacian."""
-    cached = getattr(g, "_spectral_pinv", None)
-    if cached is None:
-        cached = g._spectral_pinv = _pinv(*_eig(g))
-    return cached
+    if g not in _PINVS:
+        _PINVS[g] = _pinv(*_eig(g))
+    return _PINVS[g]
 
 
 def effective_resistance(g: Graph, u: int, v: int) -> float:
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError("vertex out of range")
     if u == v:
         return 0.0
     uf = g.union_find()
@@ -151,7 +147,7 @@ def leverage_scores(g: Graph) -> ResistanceTable:
 def resistance_diameter(g: Graph, vertex_subset=None) -> float:
     """Max pairwise effective resistance, computed on the induced subgraph.
 
-    g's cached edge arrays, masked to the subset and relabeled in sorted
+    g's edge record, masked to the subset and relabeled in sorted
     vertex order, go through laplacian(g)'s builder: the entries get the same
     additions in the same edge-id order as g.induced_subgraph(subset)'s
     Laplacian, so the value is bitwise equal and no Graph is built.
@@ -163,7 +159,8 @@ def resistance_diameter(g: Graph, vertex_subset=None) -> float:
         raise ValueError("vertex out of range")
     if len(vs) <= 1:
         return 0.0
-    u, v, w = _edge_arrays(g)
+    rec = g.edge_record()
+    u, v = rec.ends[:, 0], rec.ends[:, 1]
     pos = np.full(g.n, -1, dtype=np.intp)
     pos[vs] = np.arange(len(vs))
     keep = (pos[u] >= 0) & (pos[v] >= 0)
@@ -173,7 +170,7 @@ def resistance_diameter(g: Graph, vertex_subset=None) -> float:
         uf.union(a, b)
     if uf.count != 1:
         raise ValueError("induced subgraph is disconnected")
-    L = _build_laplacian(len(vs), pu, pv, w[keep])
+    L = _build_laplacian(len(vs), pu, pv, rec.floats[keep])
     return float(_resistances(_pinv(*_checked_eigh(L, 1))).max())
 
 
@@ -221,9 +218,9 @@ def sparsify_rates(
         return SparsifyPlan(s=0.0, rates={}, flags=tuple(flags))
     s = (18.0 * math.e * math.log2(g.n) / epsilon**2) * (g.n / delta) ** (2.0 / k)
     s *= rate_scale
-    rates = {}
-    for eid, u, v, w in g.edges():
-        rates[eid] = min(1.0, float(w) * resistances.resistance(eid) * s)
+    rates = {
+        eid: min(1.0, float(w) * resistances.resistance(eid) * s) for eid, _, _, w in g.edges()
+    }
     return SparsifyPlan(s=s, rates=rates, flags=tuple(flags))
 
 
@@ -238,8 +235,9 @@ class ApproxReport:
     epsilon: float
 
 
-def _ratio_verdict(lo: float, hi: float, epsilon: float) -> bool:
-    return (lo >= 1.0 - epsilon - APPROX_SLACK) and (hi <= 1.0 + epsilon + APPROX_SLACK)
+def _ratio_verdict(lo, hi, epsilon: float):
+    """Whether [lo, hi] lies within 1 +- epsilon; elementwise on arrays."""
+    return (lo >= 1.0 - epsilon - APPROX_SLACK) & (hi <= 1.0 + epsilon + APPROX_SLACK)
 
 
 def spectral_approx_check(g: Graph, h: Graph, epsilon: float) -> ApproxReport:
@@ -313,10 +311,7 @@ class FormChecker:
             ratios = np.linalg.eigvalsh(mats)
             lo[start : start + self._CHUNK] = ratios[:, 0]
             hi[start : start + self._CHUNK] = ratios[:, -1]
-        ok = (lo >= 1.0 - self.epsilon - APPROX_SLACK) & (
-            hi <= 1.0 + self.epsilon + APPROX_SLACK
-        )
-        return ok, lo, hi
+        return _ratio_verdict(lo, hi, self.epsilon), lo, hi
 
 
 def edge_form_checker(g: Graph, epsilon: float) -> FormChecker:
@@ -326,14 +321,10 @@ def edge_form_checker(g: Graph, epsilon: float) -> FormChecker:
         raise ValueError("the reference graph has no edges to compare against")
     U = vecs[:, kernel_dim:]
     d = vals[kernel_dim:]
-    order = tuple(g.edge_ids())
-    mats = np.empty((len(order), U.shape[1], U.shape[1]))
-    scale = np.sqrt(d)
-    for i, eid in enumerate(order):
-        u, v, _ = g.edge(eid)
-        b = (U[u] - U[v]) / scale
-        mats[i] = np.outer(b, b)
-    return FormChecker(epsilon=epsilon, edge_order=order, stack=mats)
+    rec = g.edge_record()
+    b = (U[rec.ends[:, 0]] - U[rec.ends[:, 1]]) / np.sqrt(d)
+    mats = b[:, :, None] * b[:, None, :]
+    return FormChecker(epsilon=epsilon, edge_order=tuple(rec.ids.tolist()), stack=mats)
 
 
 def solve_potentials(g: Graph, demand) -> np.ndarray:

@@ -371,6 +371,29 @@ def test_graph_file_input(capsys, tmp_path):
     assert json.loads(out)["spec"]["generator"] == f"file:{path}"
 
 
+@pytest.mark.parametrize("key,value", [("id", 1.5), ("id", True), ("id", "1"), ("u", 0.0)])
+def test_graph_json_with_non_int_id_or_endpoint_is_an_error(capsys, tmp_path, key, value):
+    g = gen_graph("multi_cycle", {"length": 3, "copies": 2})
+    payload = json.loads(g.to_json())
+    payload["edges"][0][key] = value
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_main(capsys, "connectivity", "--graph", str(path), "--k", "2")
+    assert code == 2
+    assert "must be an int" in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("text", ["3\n", "2 1\n1\n"])
+def test_graph_text_with_malformed_line_is_an_error(capsys, tmp_path, text):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    code, out, err = run_main(capsys, "connectivity", "--graph", str(path), "--k", "2")
+    assert code == 2
+    assert err.startswith("error: graph text must be")
+    assert out == ""
+
+
 def test_subprocess_reports_byte_identical(tmp_path):
     argv = [
         sys.executable, "-m", "edgewise.cli", "cyclefree",

@@ -1,9 +1,13 @@
 """Graph tests; minimum cuts and cycle listings are checked against
 exhaustive reference implementations."""
 
+import ast
+import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,12 +506,195 @@ def test_enumerate_cuts_matches_per_side_loop():
         assert cuts == loop_enumerate_cuts(g)
         # no two sides of a component share an edge set, so nothing is deduplicated
         assert len(cuts) == sum(2 ** (len(c) - 1) - 1 for c in g.components())
-        dtypes.add(g._scaled_weights()[2].dtype)
+        dtypes.add(g.edge_record().ints.dtype)
         disconnected += sum(len(c) > 1 for c in g.components()) > 1
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
     assert disconnected > 20
     for g in (Graph(0), Graph(1), Graph(1, [(0, 0)]), Graph(3, [(0, 1, 0)])):
         assert g.enumerate_cuts() == loop_enumerate_cuts(g)
+
+
+def per_edge_record(g):
+    """(ids, ends, ints, dtype, scale, floats) built edge by edge from edges()."""
+    es = list(g.edges())
+    scale = math.lcm(*(w.denominator for *_, w in es))
+    ints = [w.numerator * (scale // w.denominator) for *_, w in es]
+    dtype = np.dtype(np.int64) if 2 * sum(ints) < 2**62 else np.dtype(object)
+    return (
+        [e for e, *_ in es], [[u, v] for _, u, v, _ in es], ints, dtype, scale,
+        [float(w) for *_, w in es],
+    )
+
+
+def record_of(g):
+    rec = g.edge_record()
+    assert rec.ends.shape == (g.m, 2)
+    assert not any(a.flags.writeable for a in (rec.ids, rec.ends, rec.ints, rec.floats))
+    assert rec.floats.dtype == np.float64
+    return (
+        rec.ids.tolist(), rec.ends.tolist(), rec.ints.tolist(), rec.ints.dtype, rec.scale,
+        rec.floats.tolist(),
+    )
+
+
+def validated(n, edges):
+    """Graph built through the validating JSON constructor from (id, u, v, w)."""
+    payload = {"n": n, "edges": [{"id": e, "u": u, "v": v, "w": str(w)} for e, u, v, w in edges]}
+    return Graph.from_json(json.dumps(payload))
+
+
+def reference_surgery(g, rng):
+    """(name, derived graph, the same graph through the validating constructor)."""
+    es = list(g.edges())
+    subset = {e for e, *_ in es if rng.random() < 0.5}
+    verts = [v for v in range(g.n) if rng.random() < 0.6]
+    vmap = {v: i for i, v in enumerate(verts)}
+    order = list(range(g.n))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, g.n), rng.randint(0, g.n - 1))) if g.n > 1 else []
+    parts = [order[a:b] for a, b in zip([0] + cuts, cuts + [g.n])] if g.n else []
+    pmap = {v: i for i, p in enumerate(sorted(parts, key=min)) for v in p}
+    mapping = {e: rng.choice([0, 2, Fraction(1, 6), Fraction(10**20, 7)]) for e in subset}
+    mapping[10**6] = -1  # not an edge of g: ignored, and not checked
+    s = rng.randint(1, 3)
+    yield "keep", g.keep_edges(subset), validated(g.n, [t for t in es if t[0] in subset])
+    yield "delete", g.delete_edges(subset), validated(g.n, [t for t in es if t[0] not in subset])
+    yield "contract", g.contract_partition(parts)[0], validated(
+        len(parts), [(e, pmap[u], pmap[v], w) for e, u, v, w in es]
+    )
+    yield "induced", g.induced_subgraph(verts)[0], validated(
+        len(verts), [(e, vmap[u], vmap[v], w) for e, u, v, w in es if u in vmap and v in vmap]
+    )
+    fresh = iter(range(g.n, g.n + len(es) * (s - 1)))  # interior vertices, in edge-id order
+    chains = [[u, *(next(fresh) for _ in range(s - 1)), v] for _, u, v, _ in es]
+    yield "subdivide", g.subdivide(s), validated(g.n + len(es) * (s - 1), [
+        ((e - 1) * s + j + 1, c[j], c[j + 1], w)
+        for (e, _, _, w), c in zip(es, chains)
+        for j in range(s)
+    ])
+    yield "duplicate", g.duplicate_edges(s), validated(g.n, [
+        ((e - 1) * s + j + 1, u, v, w) for e, u, v, w in es for j in range(s)
+    ])
+    yield "with_weights", g.with_weights(mapping), validated(
+        g.n, [(e, u, v, mapping.get(e, w)) for e, u, v, w in es]
+    )
+    yield "unit", g.with_unit_weights(), validated(g.n, [(e, u, v, 1) for e, u, v, _ in es])
+
+
+def test_edge_record_and_surgery_match_validating_constructor():
+    dtypes, names = set(), set()
+    for seed in range(300):
+        g = rational_multigraph(seed)
+        assert record_of(g) == per_edge_record(g)
+        assert g.edge_ids() == sorted(g.edge_ids())
+        dtypes.add(g.edge_record().ints.dtype)
+        rng = random.Random(seed)
+        for name, got, want in reference_surgery(g, rng):
+            names.add(name)
+            assert (got.n, list(got.edges())) == (want.n, list(want.edges())), (seed, name)
+            assert got.to_json() == want.to_json(), (seed, name)
+            assert record_of(got) == record_of(want) == per_edge_record(want), (seed, name)
+            dtypes.add(got.edge_record().ints.dtype)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+    assert len(names) == 8
+
+
+def test_edge_record_floats_are_rounded_from_each_weight():
+    # reweighting's scales pass 2^53, where ints / scale rounds the scale first
+    ws = [Fraction(k, 3**34) for k in range(1, 30)]
+    g = Graph(2, [(0, 1, w) for w in ws])
+    rec = g.edge_record()
+    assert rec.scale > 2**53 and rec.ints.dtype == np.int64
+    assert rec.floats.tolist() == [float(w) for w in ws]
+    assert (rec.ints / rec.scale).tolist() != rec.floats.tolist()
+    assert g.edge_record() is rec  # built once
+
+
+def test_constructor_rejects_non_int_ids_and_endpoints():
+    for bad in ([(0.0, 1)], [(0, True)], [(0, 1.5, 2)], [("0", 1)], [(0, np.float64(1))]):
+        with pytest.raises(ValueError, match="edge id or endpoint must be an int"):
+            Graph(2, bad)
+    for n in (2.0, -1, True):
+        with pytest.raises(ValueError, match="n must be an int >= 0"):
+            Graph(n, [(0, 1)])
+    assert Graph(np.int64(2), [(np.int64(0), np.intp(1))]).to_json() == Graph(2, [(0, 1)]).to_json()
+    good = {"n": 2, "edges": [{"id": 1, "u": 0, "v": 1, "w": "1"}]}
+    assert Graph.from_json(json.dumps(good)).edge_ids() == [1]
+    for key, value in (("id", 1.5), ("id", True), ("id", "1"), ("u", 0.0), ("v", False)):
+        payload = json.loads(json.dumps(good))
+        payload["edges"][0][key] = value
+        with pytest.raises(ValueError, match="must be an int"):
+            Graph.from_json(json.dumps(payload))
+    with pytest.raises(ValueError, match="weights must be >= 0"):
+        Graph(2, [(0, 1)]).with_weights({1: -1})
+    twice = {"n": 2, "edges": good["edges"] * 2}
+    with pytest.raises(ValueError, match="duplicate edge ids"):
+        Graph.from_json(json.dumps(twice))
+
+
+def test_from_text_rejects_malformed_lines():
+    for text in ("3\n", "2 1\n1\n", "2 1 0\n1 2\n", "2 1\n1 2 3 4\n"):
+        with pytest.raises(ValueError, match="graph text must be"):
+            Graph.from_text(text)
+
+
+def _attribute_writes(tree):
+    """(line, text) of each assignment to an attribute of a name other than
+    self (or to an item of such an underscore attribute), and of each
+    getattr/setattr/delattr of an underscore name on one."""
+    def owner(node):
+        return node.id if isinstance(node, ast.Name) else None
+
+    def written(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for elt in target.elts:
+                yield from written(elt)
+        elif isinstance(target, ast.Starred):
+            yield from written(target.value)
+        elif isinstance(target, ast.Attribute) and owner(target.value) != "self":
+            yield target
+        elif (
+            isinstance(target, ast.Subscript)
+            and isinstance(target.value, ast.Attribute)
+            and target.value.attr.startswith("_")
+        ):
+            yield from written(target.value)
+
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            for attr in written(target):
+                yield node.lineno, ast.unparse(attr)
+        if (
+            isinstance(node, ast.Call)
+            and owner(node.func) in ("getattr", "setattr", "delattr")
+            and len(node.args) >= 2
+            and owner(node.args[0]) != "self"
+            and isinstance(node.args[1], ast.Constant)
+            and str(node.args[1].value).startswith("_")
+        ):
+            yield node.lineno, ast.unparse(node)
+
+
+def test_only_graph_module_sets_attributes_on_other_objects():
+    src = Path(graph_module.__file__).parent
+    found = [
+        f"{path.name}:{line}: {text}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "graph.py"
+        for line, text in _attribute_writes(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    # the guard sees what it is meant to catch
+    probe = ast.parse(
+        "g._x = 1\ng.y += 1\na, h.z = 1, 2\ng._d[k] = 1\ngetattr(g, '_x')\nsetattr(g, '_y', 1)\n"
+        "self.ok = 1\ngetattr(g, 'ok')\nrows[np.arange(3)] = 1\ng.d[k] = 1\nself._d[k] = 1"
+    )
+    assert [line for line, _ in _attribute_writes(probe)] == [1, 2, 3, 4, 5, 6]
 
 
 def test_girth_known_values():

@@ -85,6 +85,14 @@ def test_effective_resistance_series_parallel():
     assert effective_resistance(square, 1, 1) == 0.0
 
 
+def test_effective_resistance_rejects_vertices_out_of_range():
+    path = Graph(3, [(0, 1), (1, 2)])
+    for u, v in ((-1, 0), (0, -1), (5, 5), (5, 0), (0, 3), (3, 3)):
+        with pytest.raises(ValueError, match="vertex out of range"):
+            effective_resistance(path, u, v)
+    assert effective_resistance(path, 2, 2) == 0.0
+
+
 def test_effective_resistance_across_components():
     g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError, match="infinite"):
