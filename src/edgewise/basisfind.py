@@ -36,12 +36,11 @@ from .samplespace import (
     build_almost_kwise,
     build_kwise,
     exact_builder,
-    mode_words,
+    mode_blocks,
     with_marginal,
 )
 
 MODE_ENUMERATE = "enumerate"
-MODE_SAMPLE = "sample"
 
 # round labels per matroid kind: (listing, harvest)
 _LABELS = {GRAPHIC: ("list-cycles", "flis-graphic"), COGRAPHIC: ("list-cuts", "flis-cographic")}
@@ -108,16 +107,11 @@ class Constants:
 
     # -- derived parameters ---------------------------------------------------
 
-    def girth_threshold(self, m: int) -> float:
+    def threshold(self, m: int, kind: str) -> float:
         # floored at 1: the window at ell = 1 must always be sweepable, since
         # single-element circuits can never join an independent set
-        return max(1.0, self.girth_mult * log2(max(m, 2)))
-
-    def cut_threshold(self, m: int) -> float:
-        return max(1.0, self.cut_mult * log2(max(m, 2)))
-
-    def threshold(self, m: int, kind: str) -> float:
-        return self.girth_threshold(m) if kind == GRAPHIC else self.cut_threshold(m)
+        mult = self.girth_mult if kind == GRAPHIC else self.cut_mult
+        return max(1.0, mult * log2(max(m, 2)))
 
     def k_flis(self, m: int) -> int:
         return max(2, ceil(self.k_flis_mult * log2(max(m, 2))))
@@ -320,8 +314,9 @@ def list_circuits(
         space = with_marginal(almost_builder, len(elems), k, constants.list_delta(m), exp)
     else:
         space = with_marginal(exact_builder, len(elems), k, Fraction(0), exp)
-    words = mode_words(space, mode, constants.enum_budget, sample_count, seed)
-    sel = _unpack_words(words, len(elems))
+    # a round is one matrix, fixed before any answer: the blocks are joined
+    blocks = mode_blocks(space, mode, constants.enum_budget, sample_count, seed)
+    sel = _unpack_words(np.concatenate(list(blocks)), len(elems))
     _, circuits = _detect(session, label, sel)
     size = circuits.sum(axis=1)
     short = circuits[(size >= 1) & (size <= window_hi)]
@@ -364,10 +359,11 @@ def find_large_independent_set(
         space = build_almost_kwise(len(elems), k, constants.flis_delta(m))
     else:
         space = build_kwise(len(elems), k)
-    words = mode_words(space, mode, constants.enum_budget, sample_count, seed)
-    # the whole element set rides along as query zero so an already
-    # independent minor is taken in full
-    rows = np.vstack([np.ones((1, len(elems)), dtype=np.uint8), _unpack_words(words, len(elems))])
+    blocks = mode_blocks(space, mode, constants.enum_budget, sample_count, seed)
+    # one round of every block; the whole element set rides along as query
+    # zero so an already independent minor is taken in full
+    rows = np.vstack([np.ones((1, len(elems)), dtype=np.uint8),
+                      _unpack_words(np.concatenate(list(blocks)), len(elems))])
     answers = session.run_round(_LABELS[session.kind][1], rows)
     if answers[0]:
         return set(elems)

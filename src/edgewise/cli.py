@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .basisfind import ClaimViolation, Constants, PreconditionError, find_basis
 from .experiments import (
+    _rat,
     connectivity_experiment,
     cyclefree_experiment,
     gen_graph,
@@ -28,8 +29,6 @@ from .matroid import OracleSession
 from .samplespace import (
     SupportTooLargeError,
     almost_builder,
-    build_almost_kwise,
-    build_kwise,
     dump_blocks,
     exact_builder,
     verify_independence,
@@ -76,12 +75,10 @@ def _graph_from_args(args):
 def _space_from_args(m, args):
     delta = Fraction(args.delta) if args.delta is not None else Fraction(0)
     L = args.marginal_L
+    builder = exact_builder if delta == 0 else almost_builder
     if L and L > 1:
-        builder = exact_builder if delta == 0 else almost_builder
         return with_marginal(builder, m, args.k, delta, L)
-    if delta == 0:
-        return build_kwise(m, args.k)
-    return build_almost_kwise(m, args.k, delta)
+    return builder(m, args.k, delta)
 
 
 def _mode_kwargs(args):
@@ -202,10 +199,10 @@ def _cmd_verify_space(args):
     blob = {
         "descriptor": space.descriptor(),
         "seed_bits": space.seed_bits,
-        "max_tv": f"{rep.max_tv.numerator}/{rep.max_tv.denominator}",
+        "max_tv": _rat(rep.max_tv),
         "worst_subset": list(rep.worst_subset),
         "subsets_tested": rep.subsets_tested,
-        "certified_delta": f"{space.params.delta.numerator}/{space.params.delta.denominator}",
+        "certified_delta": _rat(space.params.delta),
         "ok": rep.max_tv <= space.params.delta,
     }
     _emit(args, json.dumps(blob, sort_keys=True, indent=2))

@@ -29,17 +29,16 @@ from .basisfind import PreconditionError
 from .graph import Graph
 from .reweight import reweight_min_cut
 from .samplespace import (
+    _WORD,
     SampleSpace,
     _all_set,
     _pack_words,
     _unpack_words,
     build_kwise,
     group_heterogeneous,
-    mode_words,
+    mode_blocks,
 )
 from .spectral import edge_form_checker, leverage_scores, sparsify_rates
-
-_WORD = 64
 
 __all__ = [
     "ExperimentReport",
@@ -340,13 +339,6 @@ def _first_kept(edge_sets, pos: Mapping[int, int], vector: int):
     return None
 
 
-def _mode_blocks(space: SampleSpace, mode: str, budget, trials, seed: int):
-    """Row blocks: the support ("enumerate") or one block of draws ("sample")."""
-    if mode == "enumerate":
-        return space.support_blocks(budget)
-    return iter((mode_words(space, mode, budget, trials, seed),))
-
-
 _Run = namedtuple("_Run", "rows successes tallies witnesses")  # summed over blocks
 
 
@@ -501,7 +493,7 @@ def connectivity_experiment(
     names a fully dropped cut.
     """
     order = _check_space_matches(g, space)
-    blocks = _mode_blocks(space, mode, budget, trials, seed)
+    blocks = mode_blocks(space, mode, budget, trials, seed)
     verdict, floor, cuts = _components_kept(g, order, space)
     m = len(order)
     k_full = 2 * max(1, math.ceil(math.log2(max(m, 2))))
@@ -540,7 +532,7 @@ def cyclefree_experiment(
     surviving cycle when the graph is small enough to list them.
     """
     order = _check_space_matches(g, space)
-    blocks = _mode_blocks(space, mode, budget, trials, seed)
+    blocks = mode_blocks(space, mode, budget, trials, seed)
     m = len(order)
     pos = {eid: j for j, eid in enumerate(order)}
     floor = -(-m // 10)  # >= m/10 edges, integer form
@@ -613,7 +605,7 @@ def _unique_survival(
     ell = min(len(eids) for eids in members)
     _window_check(len(target), ell, family)
 
-    blocks = _mode_blocks(space, mode, budget, trials, seed)
+    blocks = mode_blocks(space, mode, budget, trials, seed)
     m = len(order)
     pos = {eid: j for j, eid in enumerate(order)}
 
@@ -735,7 +727,7 @@ def _rate_space(rates: Mapping, order: Sequence[int], k: int, max_level: int,
         return levels, None, iter((_pack_words(np.ones((1, m), dtype=np.uint8)),)), descriptor
     underlying = build_kwise(sum(levels), k * max(levels))
     space = group_heterogeneous(underlying, levels, k, Fraction(0))
-    return levels, space, _mode_blocks(space, mode, budget, trials, seed), space.descriptor()
+    return levels, space, mode_blocks(space, mode, budget, trials, seed), space.descriptor()
 
 
 def sparsify_experiment(
@@ -849,8 +841,7 @@ def reweight_then_connectivity(
         )
     weighting = reweight_min_cut(g)
     gw = g.with_weights(weighting.weights)
-    table = leverage_scores(gw)
-    plan = sparsify_rates(gw, table, k, epsilon, delta, rate_scale)
+    plan = sparsify_rates(gw, weighting.table, k, epsilon, delta, rate_scale)
 
     order = g.edge_ids()
     m = len(order)

@@ -25,9 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .samplespace import _exact_dtype
+from .samplespace import _WORD, _exact_dtype
 
-_WORD = 64
 _CHUNK = 1 << 15  # most rows per component-count block
 _ONE = Fraction(1)
 
@@ -135,7 +134,10 @@ def _row_lists(matrix: np.ndarray, labels=None) -> list[list]:
 
 
 def _as_weight(w) -> Fraction:
-    w = Fraction(w)
+    try:
+        w = Fraction(w)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"edge weight must be a number or a rational string, not {w!r}") from None
     if w < 0:
         raise ValueError("edge weights must be >= 0")
     return w
@@ -146,6 +148,14 @@ def _as_int(x, what: str) -> int:
     if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < 0:
         raise ValueError(f"{what} must be an int >= 0, not {x!r}")
     return int(x)
+
+
+def _field(obj, key: str, what: str = "edge"):
+    """obj[key] of a JSON object; ValueError naming the key when obj is not
+    an object or lacks it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{what} JSON must be an object with field {key!r}")
+    return obj[key]
 
 
 def _checked(n: int, items):
@@ -662,8 +672,13 @@ class Graph:
     @classmethod
     def from_json(cls, text: str) -> "Graph":
         payload = json.loads(text)
-        n = _as_int(payload["n"], "n")
-        edges = sorted(_checked(n, ((e["id"], (e["u"], e["v"], e["w"])) for e in payload["edges"])))
+        n = _as_int(_field(payload, "n", "graph"), "n")
+        items = _field(payload, "edges", "graph")
+        if not isinstance(items, list):
+            raise ValueError("graph JSON field 'edges' must be a list")
+        edges = sorted(_checked(n, (
+            (_field(e, "id"), (_field(e, "u"), _field(e, "v"), _field(e, "w"))) for e in items
+        )))
         if len({e[0] for e in edges}) < len(edges):
             raise ValueError("duplicate edge ids")
         return cls._trusted(n, edges)

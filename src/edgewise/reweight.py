@@ -25,13 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graph import Graph
-from .spectral import (
-    ResistanceTable,
-    _resistances,
-    leverage_scores,
-    pseudoinverse,
-    resistance_diameter,
-)
+from .spectral import ResistanceTable, leverage_scores, resistance_diameter, resistance_matrix
 
 ALPHA0 = 1.0
 MAX_ALPHA_DOUBLINGS = 40
@@ -122,7 +116,7 @@ def cluster_low_rdiam(
     w_total = g.total_weight()
     if w_total == 0:
         raise ValueError("total weight is zero")
-    R = _resistances(pseudoinverse(g))
+    R = resistance_matrix(g)
     A, scale = g.scaled_adjacency()
     # equal balls recur across radii and alpha doublings; solve each once
     rdiam = functools.cache(lambda part: resistance_diameter(g, part))

@@ -456,10 +456,7 @@ def with_marginal(
     if L < 1:
         raise ValueError("L must be >= 1")
     delta = Fraction(delta)
-    underlying = space_builder(n * L, k * L, delta)
-    groups = tuple(tuple(range(i * L, (i + 1) * L)) for i in range(n))
-    params = SpaceParams(n=n, k=k, delta=delta, p_log_inv=L, complemented=complemented)
-    return GroupedSpace(underlying, groups, params)
+    return group_heterogeneous(space_builder(n * L, k * L, delta), [L] * n, k, delta, complemented)
 
 
 def group_heterogeneous(
@@ -476,14 +473,10 @@ def group_heterogeneous(
     """
     if any(size < 0 for size in group_sizes):
         raise ValueError("group sizes must be non-negative")
-    total = sum(group_sizes)
-    if underlying.params.n != total:
+    if underlying.params.n != sum(group_sizes):
         raise ValueError("underlying space must have sum(group_sizes) positions")
-    groups = []
-    pos = 0
-    for size in group_sizes:
-        groups.append(tuple(range(pos, pos + size)))
-        pos += size
+    starts = itertools.accumulate(group_sizes, initial=0)
+    groups = tuple(tuple(range(pos, pos + size)) for pos, size in zip(starts, group_sizes))
     params = SpaceParams(
         n=len(group_sizes),
         k=k,
@@ -491,7 +484,7 @@ def group_heterogeneous(
         p_log_inv=max(max(group_sizes, default=1), 1),
         complemented=complemented,
     )
-    return GroupedSpace(underlying, tuple(groups), params)
+    return GroupedSpace(underlying, groups, params)
 
 
 def exact_builder(n: int, k: int, delta) -> PolynomialSpace:
@@ -501,9 +494,8 @@ def exact_builder(n: int, k: int, delta) -> PolynomialSpace:
     return build_kwise(n, k)
 
 
-def almost_builder(n: int, k: int, delta) -> SmallBiasSpace:
-    """Adapter for with_marginal over the small-bias construction."""
-    return build_almost_kwise(n, k, delta)
+# with_marginal's builder over the small-bias construction
+almost_builder = build_almost_kwise
 
 
 @dataclass
@@ -658,14 +650,16 @@ def space_from_descriptor(desc: dict) -> SampleSpace:
     raise ValueError(f"unknown construction {kind!r}")
 
 
-def mode_words(space: SampleSpace, mode: str, budget: int | None, count, seed: int) -> np.ndarray:
-    """Rows to evaluate: the whole support ("enumerate") or `count` draws ("sample")."""
+def mode_blocks(space: SampleSpace, mode: str, budget: int | None, count, seed: int):
+    """Row blocks to evaluate: the support in seed order ("enumerate") or one
+    block of `count` seeded draws ("sample").  The mode, the count and the
+    budget are checked here, before any block is built."""
     if mode == "enumerate":
-        return space.support_words(budget)
+        return space.support_blocks(budget)
     if mode == "sample":
         if not count or count < 1:
             raise ValueError("sample mode needs trials >= 1")
-        return space.sample_words(count, seed)
+        return iter((space.sample_words(count, seed),))
     raise ValueError(f"unknown mode {mode!r}")
 
 

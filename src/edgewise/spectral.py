@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, UnionFind
+from .graph import Graph
 
 KERNEL_REL_TOL = 1e-9
 LEVERAGE_SUM_TOL = 1e-6
@@ -95,6 +95,12 @@ def _resistances(P: np.ndarray) -> np.ndarray:
     return d[:, None] + d[None, :] - 2.0 * P
 
 
+def resistance_matrix(g: Graph) -> np.ndarray:
+    """Effective resistance between every pair of vertices of g, read off the
+    pseudoinverse (entries between components are meaningless)."""
+    return _resistances(pseudoinverse(g))
+
+
 @dataclass(frozen=True)
 class ResistanceTable:
     """Per-edge electrical data plus per-component resistance diameters."""
@@ -125,7 +131,7 @@ def leverage_scores(g: Graph) -> ResistanceTable:
     Enforces the sum rule: leverage scores inside one component add up to the
     component's vertex count minus one.
     """
-    R = _resistances(pseudoinverse(g))
+    R = resistance_matrix(g)
     comps = g.components()
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     comp_sum = [0.0] * len(comps)  # summed in edge-id order
@@ -164,13 +170,10 @@ def resistance_diameter(g: Graph, vertex_subset=None) -> float:
     pos = np.full(g.n, -1, dtype=np.intp)
     pos[vs] = np.arange(len(vs))
     keep = (pos[u] >= 0) & (pos[v] >= 0)
-    pu, pv = pos[u[keep]], pos[v[keep]]
-    uf = UnionFind(len(vs))
-    for a, b in zip(pu.tolist(), pv.tolist()):
-        uf.union(a, b)
-    if uf.count != 1:
+    # the vertices outside the subset stay singletons
+    if g.component_count(rec.ids[keep].tolist()) != g.n - len(vs) + 1:
         raise ValueError("induced subgraph is disconnected")
-    L = _build_laplacian(len(vs), pu, pv, rec.floats[keep])
+    L = _build_laplacian(len(vs), pos[u[keep]], pos[v[keep]], rec.floats[keep])
     return float(_resistances(_pinv(*_checked_eigh(L, 1))).max())
 
 
@@ -235,6 +238,13 @@ class ApproxReport:
     epsilon: float
 
 
+def _image_basis(g: Graph):
+    """(U, d): the Laplacian's eigenvectors off its kernel, as columns, and
+    their eigenvalues; None when g has no edges (the image is empty)."""
+    vals, vecs, kernel_dim = _eig(g)
+    return None if kernel_dim == g.n else (vecs[:, kernel_dim:], vals[kernel_dim:])
+
+
 def _ratio_verdict(lo, hi, epsilon: float):
     """Whether [lo, hi] lies within 1 +- epsilon; elementwise on arrays."""
     return (lo >= 1.0 - epsilon - APPROX_SLACK) & (hi <= 1.0 + epsilon + APPROX_SLACK)
@@ -253,12 +263,11 @@ def spectral_approx_check(g: Graph, h: Graph, epsilon: float) -> ApproxReport:
     for eid, u, v, _ in h.edges():
         if uf.find(u) != uf.find(v):
             raise ValueError(f"edge {eid} of h crosses components of g")
-    vals, vecs, kernel_dim = _eig(g)
-    if kernel_dim == g.n:
+    basis = _image_basis(g)
+    if basis is None:
         # g has no edges; h is then also empty (checked above)
         return ApproxReport(ok=True, min_ratio=1.0, max_ratio=1.0, epsilon=epsilon)
-    U = vecs[:, kernel_dim:]
-    d = vals[kernel_dim:]
+    U, d = basis
     M = U.T @ laplacian(h) @ U
     S = M / np.sqrt(d)[:, None] / np.sqrt(d)[None, :]
     ratios = np.linalg.eigvalsh(S)
@@ -316,11 +325,10 @@ class FormChecker:
 
 def edge_form_checker(g: Graph, epsilon: float) -> FormChecker:
     """Prepare a FormChecker for g (g must have at least one edge)."""
-    vals, vecs, kernel_dim = _eig(g)
-    if kernel_dim == g.n:
+    basis = _image_basis(g)
+    if basis is None:
         raise ValueError("the reference graph has no edges to compare against")
-    U = vecs[:, kernel_dim:]
-    d = vals[kernel_dim:]
+    U, d = basis
     rec = g.edge_record()
     b = (U[rec.ends[:, 0]] - U[rec.ends[:, 1]]) / np.sqrt(d)
     mats = b[:, :, None] * b[:, None, :]

@@ -7,6 +7,8 @@ the cographic kind.
 """
 
 import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -235,6 +237,42 @@ def test_listing_sampled_regime_monte_carlo_cycles():
     assert set(clist.circuits) == {frozenset({1, 2, 3})}
 
 
+def _sampled_mode_bytes() -> str:
+    """Report bytes of the sample-space paths: sampled-regime listing of each
+    kind in both modes (circuits and ledger), then sample-mode find_basis on
+    both kinds, with the desk profile and with the sampled listing regime."""
+    graphic = dataclasses.replace(
+        Constants.desk(), small_ell_cutoff=0, girth_mult=2.0, k_list_mult=1.0,
+        list_delta_exp=0.5,
+    )
+    cographic = dataclasses.replace(
+        Constants.desk(), small_ell_cutoff=0, cut_mult=1.0, k_list_mult=1.0, c_cut=0.5
+    )
+    pair = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (0, 3)])
+    out = []
+    for g, kind, consts, ell in (
+        (TRIANGLE_PENDANTS, GRAPHIC, graphic, 3), (pair, COGRAPHIC, cographic, 2),
+    ):
+        for mode in ("enumerate", "sample"):
+            s = OracleSession(g, kind)
+            out.append(list_circuits(s, ell, g.m, consts, mode=mode, sample_count=300, seed=11).to_json())
+            out.append(json.dumps(s.ledger.to_dict(), sort_keys=True))
+    g = random_multigraph(2, 6, 14)
+    for kind in (GRAPHIC, COGRAPHIC):
+        for consts in (Constants.desk(), graphic if kind == GRAPHIC else cographic):
+            report = find_basis(
+                OracleSession(g, kind), constants=consts, mode="sample", sample_count=200, seed=3
+            )
+            out.append(report.to_json())
+    return "\n".join(out)
+
+
+def test_sampled_mode_report_bytes_are_pinned():
+    # captured before the listing and the harvest moved to mode_blocks
+    digest = hashlib.sha256(_sampled_mode_bytes().encode()).hexdigest()
+    assert digest == "4e6565705128bcfa4b53b67ca52a01a7f9fcd2204224d9e7ded288639937cab5"
+
+
 # -- harvest ---------------------------------------------------------------------
 
 
@@ -408,7 +446,7 @@ def test_constants_profiles():
     desk = Constants.desk()
     assert desk.deviations()
     assert desk.k_flis(48) >= 2
-    assert desk.girth_threshold(48) > desk.girth_threshold(4)
+    assert desk.threshold(48, GRAPHIC) > desk.threshold(4, GRAPHIC)
     assert 0 < desk.flis_delta(48) <= Fraction(1, 2)
 
 

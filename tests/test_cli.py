@@ -384,6 +384,19 @@ def test_graph_json_with_non_int_id_or_endpoint_is_an_error(capsys, tmp_path, ke
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"n": 2}', '{"n": 2, "edges": [{"id": 1, "u": 0, "v": 1}]}', '{"n": 2, "edges": 5}', "[]"],
+)
+def test_graph_json_with_missing_or_mistyped_field_is_an_error(capsys, tmp_path, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    code, out, err = run_main(capsys, "connectivity", "--graph", str(path), "--k", "2")
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("text", ["3\n", "2 1\n1\n"])
 def test_graph_text_with_malformed_line_is_an_error(capsys, tmp_path, text):
     path = tmp_path / "g.txt"

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from edgewise import experiments as experiments_module
+from edgewise import reweight as reweight_module
 from edgewise import samplespace
 from edgewise.basisfind import PreconditionError
 from edgewise.experiments import (
@@ -26,6 +28,7 @@ from edgewise.experiments import (
     unique_cycle_survival_experiment,
 )
 from edgewise.graph import Graph
+from edgewise.reweight import reweight_min_cut
 from edgewise.samplespace import (
     SupportTooLargeError,
     almost_builder,
@@ -535,6 +538,40 @@ def test_reweight_pipeline_multi_cycle_meets_target():
     assert r.success_rate == Fraction(25, 32)
     assert r.success_rate >= Fraction(3, 4)
     assert "weighting_levels" in r.extras
+
+
+def test_reweight_pipeline_solves_no_leverage_of_its_own(monkeypatch):
+    # the weighting carries the reweighted graph's leverage table; the
+    # pipeline reads it instead of solving the same graph again
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return leverage_scores(g)
+
+    monkeypatch.setattr(experiments_module, "leverage_scores", counting)
+    monkeypatch.setattr(reweight_module, "leverage_scores", counting)
+    g = gen_graph("multi_cycle", {"length": 4, "copies": 4})
+    r = reweight_then_connectivity(g, 2, rate_scale=5e-4)
+    assert len(calls) == 1  # reweight_min_cut's own solve
+    assert r.success_rate == Fraction(25, 32)
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("multi_cycle", {"length": 2, "copies": 8}),
+        ("multi_cycle", {"length": 4, "copies": 4}),
+        ("complete", {"vertices": 6}),
+        ("expander_like", {"vertices": 12, "degree": 4}),
+    ],
+)
+def test_weighting_table_is_a_fresh_solve_of_the_reweighted_graph(family, params):
+    g = gen_graph(family, params)
+    weighting = reweight_min_cut(g)
+    fresh = leverage_scores(g.with_weights(weighting.weights))
+    assert weighting.table.to_csv() == fresh.to_csv()
+    assert weighting.table.component_rdiam == fresh.component_rdiam
 
 
 def test_reweight_pipeline_rejects_bridges():

@@ -632,6 +632,26 @@ def test_constructor_rejects_non_int_ids_and_endpoints():
         Graph.from_json(json.dumps(twice))
 
 
+@pytest.mark.parametrize(
+    "payload,field",
+    [
+        ({"n": 2}, "'edges'"),
+        ({"edges": []}, "'n'"),
+        ({"n": 2, "edges": [{"id": 1, "u": 0, "v": 1}]}, "'w'"),
+        ({"n": 2, "edges": [{"u": 0, "v": 1, "w": "1"}]}, "'id'"),
+        ({"n": 2, "edges": [7]}, "'id'"),
+        ({"n": 2, "edges": 5}, "'edges'"),
+        ([], "'n'"),
+        ({"n": 2, "edges": [{"id": 1, "u": 0, "v": 1, "w": None}]}, "weight"),
+        ({"n": 2, "edges": [{"id": 1, "u": 0, "v": 1, "w": [1]}]}, "weight"),
+        ({"n": 2, "edges": [{"id": 1, "u": 0, "v": 1, "w": "x"}]}, "weight"),
+    ],
+)
+def test_from_json_names_the_missing_or_mistyped_field(payload, field):
+    with pytest.raises(ValueError, match=field):
+        Graph.from_json(json.dumps(payload))
+
+
 def test_from_text_rejects_malformed_lines():
     for text in ("3\n", "2 1\n1\n", "2 1 0\n1 2\n", "2 1\n1 2 3 4\n"):
         with pytest.raises(ValueError, match="graph text must be"):

@@ -18,6 +18,8 @@ import pytest
 from edgewise import samplespace
 from edgewise.gf2 import field
 from edgewise.samplespace import (
+    GroupedSpace,
+    SpaceParams,
     SupportTooLargeError,
     almost_builder,
     build_almost_kwise,
@@ -25,6 +27,7 @@ from edgewise.samplespace import (
     dump_support,
     exact_builder,
     group_heterogeneous,
+    mode_blocks,
     space_from_descriptor,
     verify_independence,
     with_marginal,
@@ -528,6 +531,50 @@ def test_support_blocks_check_the_budget_before_any_block(monkeypatch):
         space.support_blocks(budget=1 << 10)
     with pytest.raises(SupportTooLargeError):
         next(samplespace.dump_blocks(space, budget=1 << 10))
+
+
+def test_mode_blocks_walk_the_support_or_one_block_of_draws():
+    space = build_almost_kwise(12, 4, EIGHTH)
+    enumerated = list(mode_blocks(space, "enumerate", None, None, 0))
+    assert np.array_equal(np.concatenate(enumerated), space.support_words())
+    (drawn,) = mode_blocks(space, "sample", None, 50, 7)
+    assert np.array_equal(drawn, space.sample_words(50, 7))
+
+
+@pytest.mark.parametrize(
+    "mode,budget,count,error,message",
+    [
+        ("enumerate", 1 << 10, None, SupportTooLargeError, "enumeration budget"),
+        ("sample", None, None, ValueError, "sample mode needs trials >= 1"),
+        ("sample", None, 0, ValueError, "sample mode needs trials >= 1"),
+        ("shuffle", None, 5, ValueError, "unknown mode 'shuffle'"),
+    ],
+)
+def test_mode_blocks_check_at_the_call_before_any_block(
+    monkeypatch, mode, budget, count, error, message
+):
+    space = build_kwise(20, 4)
+    monkeypatch.setattr(space, "_blocks", lambda: pytest.fail("a block was built"))
+    monkeypatch.setattr(space, "_seed_words", lambda seeds: pytest.fail("a row was drawn"))
+    with pytest.raises(error, match=message):
+        mode_blocks(space, mode, budget, count, 0)
+
+
+@pytest.mark.parametrize("builder,delta", [(exact_builder, 0), (almost_builder, EIGHTH)])
+@pytest.mark.parametrize("complemented", [False, True])
+def test_with_marginal_is_group_heterogeneous_of_equal_groups(builder, delta, complemented):
+    n, k, L = 5, 2, 2
+    got = with_marginal(builder, n, k, delta, L, complemented=complemented)
+    via = group_heterogeneous(builder(n * L, k * L, delta), [L] * n, k, Fraction(delta), complemented)
+    # the layout with_marginal documents: group i is positions i*L .. i*L + L - 1
+    params = SpaceParams(n=n, k=k, delta=Fraction(delta), p_log_inv=L, complemented=complemented)
+    groups = tuple(tuple(range(i * L, (i + 1) * L)) for i in range(n))
+    by_hand = GroupedSpace(builder(n * L, k * L, delta), groups, params)
+    for other in (via, by_hand):
+        assert got.descriptor_json() == other.descriptor_json()
+        assert got.groups == other.groups == groups
+        assert got.params == other.params == params
+        assert got.support_words().tobytes() == other.support_words().tobytes()
 
 
 def test_only_a_one_block_support_is_kept():

@@ -1,14 +1,17 @@
 """Spectral tests against closed-form electrical values (series, parallel,
 symmetry plus the sum rule) and small random instances."""
 
+import ast
 import hashlib
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from edgewise import spectral as spectral_module
 from edgewise.graph import Graph
 from edgewise.spectral import (
     effective_resistance,
@@ -367,3 +370,33 @@ def test_leverage_scores_pinned_on_disconnected_rational_multigraph():
     assert hashlib.sha256(blob.encode()).hexdigest() == (
         "19b3b9b49aebbea81be5f30ea8ac67b0af0c1a0c184c0f0415e55f5d9c92e297"
     )
+
+
+def _private_spectral_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of each underscore name imported from edgewise.spectral."""
+    return [
+        (node.lineno, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module in ("spectral", "edgewise.spectral")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_only_spectral_reads_its_private_names():
+    # the electrical solver can then be swapped inside spectral.py alone
+    src = Path(spectral_module.__file__).parent
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "spectral.py"
+        for line, name in _private_spectral_imports(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    # the guard sees what it is meant to catch
+    probe = ast.parse(
+        "from .spectral import _eig, laplacian\nfrom edgewise.spectral import _pinv\n"
+        "from .graph import _WORD\nfrom .spectral import pseudoinverse\n"
+    )
+    assert _private_spectral_imports(probe) == [(1, "_eig"), (2, "_pinv")]
