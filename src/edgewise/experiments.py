@@ -194,7 +194,7 @@ def instance_label(family: str, params: Mapping | None = None, seed: int = 0) ->
 def load_graph(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if text.lstrip().startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         return Graph.from_json(text)
     return Graph.from_text(text)
 

@@ -5,6 +5,12 @@ of t^i.  Field elements of GF(2^a) are polynomials of degree < a reduced by a
 fixed irreducible modulus, so every element is an int in [0, 2^a).
 ``GF2Field.mul_array`` and ``GF2Field.low_bit_planes`` do the same arithmetic
 elementwise over uint64 arrays, for tables over a whole field at once.
+
+``GF2Field.power_table`` raises arrays of elements to the powers 0..count-1.
+Up to degree ``TABLE_MAX_DEGREE`` = 16 it reads them from log/antilog tables
+built once per field (x^i = exp[(i * log x) mod (2^a - 1)], one gather); above
+that it multiplies up a ``mul_array`` chain, one call per power, since a table
+there would cost megabytes for the few sampled elements such fields raise.
 """
 
 from __future__ import annotations
@@ -12,6 +18,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+# largest degree whose field gets log/antilog tables (2^16 entries each)
+TABLE_MAX_DEGREE = 16
 
 
 def poly_degree(p: int) -> int:
@@ -103,9 +112,49 @@ class GF2Field:
         self.degree = degree
         self.size = 1 << degree
         self.modulus = irreducible_poly(degree)
+        self._tables: tuple[np.ndarray, np.ndarray] | None = None
 
     def mul(self, x: int, y: int) -> int:
         return poly_mulmod(x, y, self.modulus)
+
+    def pow(self, x: int, e: int) -> int:
+        out = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, x)
+            x = self.mul(x, x)
+            e >>= 1
+        return out
+
+    def primitive_element(self) -> int:
+        """Smallest generator of the multiplicative group: g^((2^a-1)/q) != 1
+        for every prime q dividing 2^a - 1.  The modulus's root t need not be
+        one (it is not at degrees 8, 9, 12, 14 and 16)."""
+        order = self.size - 1
+        cofactors = [order // q for q in _prime_factors(order)]
+        return next(g for g in range(1, self.size) if all(self.pow(g, c) != 1 for c in cofactors))
+
+    def log_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(exp, log) for degree <= TABLE_MAX_DEGREE, built on first use:
+        exp[j] = g^j for j < 2^a - 1 and log[exp[j]] = j, g the primitive
+        element; log[0] is 0 and means nothing.  Both in the smallest
+        unsigned dtype holding 2^a - 1."""
+        if self.degree > TABLE_MAX_DEGREE:
+            raise ValueError(f"log tables need degree <= {TABLE_MAX_DEGREE}")
+        if self._tables is None:
+            order = self.size - 1
+            g = self.primitive_element()
+            exp = np.ones(order, dtype=np.uint64)
+            h = 1
+            while h < order:  # exp[h:2h] = exp[:h] * g^h
+                step = min(h, order - h)
+                exp[h : h + step] = self.mul_array(exp[:step], self.mul(int(exp[h - 1]), g))
+                h += step
+            dtype = np.min_scalar_type(order)
+            log = np.zeros(self.size, dtype=dtype)
+            log[exp] = np.arange(order, dtype=dtype)
+            self._tables = (exp.astype(dtype), log)
+        return self._tables
 
     def mul_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Elementwise product of uint64 arrays of reduced field elements."""
@@ -124,10 +173,26 @@ class GF2Field:
         return prod
 
     def power_table(self, xs: np.ndarray, count: int) -> np.ndarray:
-        """(count, len(xs)) uint64 array whose row i holds x^i for each x."""
-        xs = np.asarray(xs, dtype=np.uint64)
+        """(count, len(xs)) uint64 array whose row i holds x^i for each x
+        (0^0 = 1).  ValueError for an x outside [0, 2^a) or a negative count."""
+        xs = np.asarray(xs)
+        if count < 0:
+            raise ValueError("power count must be >= 0")
+        if xs.size and (xs.min() < 0 or xs.max() >= self.size):
+            raise ValueError(f"field elements must lie in [0, {self.size})")
+        xs = xs.astype(np.uint64)
+        if self.degree > TABLE_MAX_DEGREE:
+            return self._power_chain(xs, count)
+        exp, log = self.log_tables()
+        logs = np.multiply.outer(np.arange(count, dtype=np.intp), log[xs].astype(np.intp))
+        out = np.take(exp.astype(np.uint64), logs, mode="wrap")  # wrap: mod 2^a - 1
+        out[1:, xs == 0] = 0
+        return out
+
+    def _power_chain(self, xs: np.ndarray, count: int) -> np.ndarray:
+        # row i = row i-1 * x, one mul_array call per power
         out = np.empty((count, xs.shape[0]), dtype=np.uint64)
-        out[0] = 1
+        out[:1] = 1
         for i in range(1, count):
             out[i] = self.mul_array(out[i - 1], xs)
         return out

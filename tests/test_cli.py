@@ -393,7 +393,8 @@ def test_graph_json_with_missing_or_mistyped_field_is_an_error(capsys, tmp_path,
     path.write_text(text)
     code, out, err = run_main(capsys, "connectivity", "--graph", str(path), "--k", "2")
     assert code == 2
-    assert err.startswith("error: ") and "Traceback" not in err
+    # every one is read as JSON, a top-level array included
+    assert err.startswith(("error: graph JSON ", "error: edge JSON ")) and "Traceback" not in err
     assert out == ""
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from edgewise import samplespace
+from edgewise import gf2, samplespace
 from edgewise.gf2 import field
 from edgewise.samplespace import (
     GroupedSpace,
@@ -627,18 +627,70 @@ def test_sampled_spaces_are_past_enumeration():
     assert big.support_size > samplespace.DEFAULT_ENUM_BUDGET
 
 
-def test_vectorized_field_arithmetic_matches_scalar():
-    for a in (1, 2, 3, 5, 8):
-        f = field(a)
-        xs = np.arange(1 << a)
-        table = f.power_table(xs, 7)
-        planes = f.low_bit_planes(table)
-        for y in range(0, 1 << a, 3):
-            assert f.mul_array(xs, y).tolist() == [f.mul(x, y) for x in range(1 << a)]
-        for x in range(1 << a):
-            powers = [1]
-            for _ in range(6):
-                powers.append(f.mul(powers[-1], x))
-            assert table[:, x].tolist() == powers
-            for b in range(a):
-                assert planes[b, :, x].tolist() == [f.mul(p, 1 << b) & 1 for p in powers]
+@pytest.mark.parametrize("a", [1, 2, 3, 5, 8, 9, 17])
+def test_vectorized_field_arithmetic_matches_scalar(a):
+    # 8 and 9 have a non-primitive modulus; 17 is past the tables (chain path)
+    f = field(a)
+    xs = np.arange(1 << a) if a <= 9 else np.array([0, 1, 2, 3, 12345, (1 << a) - 1])
+    table = f.power_table(xs, 7)
+    planes = f.low_bit_planes(table)
+    for y in range(0, 1 << min(a, 9), 3):
+        assert f.mul_array(xs, y).tolist() == [f.mul(int(x), y) for x in xs]
+    for j, x in enumerate(xs.tolist()):
+        powers = [1]
+        for _ in range(6):
+            powers.append(f.mul(powers[-1], x))
+        assert table[:, j].tolist() == powers
+        for b in range(a):
+            assert planes[b, :, j].tolist() == [f.mul(p, 1 << b) & 1 for p in powers]
+
+
+@pytest.mark.parametrize("a", range(1, gf2.TABLE_MAX_DEGREE + 1))
+def test_power_table_by_log_tables_matches_mul_array_chain(a):
+    # every x, 0 included; degrees 8, 9, 12, 14 and 16 have a non-primitive modulus
+    f = field(a)
+    xs = np.arange(1 << a)
+    for count in (1, 2, 33):
+        assert np.array_equal(f.power_table(xs, count), f._power_chain(xs.astype(np.uint64), count))
+
+
+@pytest.mark.parametrize("a", range(1, gf2.TABLE_MAX_DEGREE + 1))
+def test_exp_table_is_a_permutation_of_the_nonzero_elements(a):
+    f = field(a)
+    exp, log = f.log_tables()
+    assert exp.dtype == np.min_scalar_type((1 << a) - 1)
+    assert np.array_equal(np.sort(exp), np.arange(1, 1 << a))
+    assert np.array_equal(log[exp], np.arange((1 << a) - 1))
+    # exp lists the powers of one element, so covering every nonzero element
+    # proves that element primitive
+    assert exp[0] == 1 and exp[1 % len(exp)] == f.primitive_element()
+
+
+@pytest.mark.parametrize("a", [3, 20])  # table path and mul_array chain
+def test_power_table_rejects_elements_outside_the_field(a):
+    f = field(a)
+    for bad in ([1 << a], [0, -1], [1, (1 << a) + 5]):
+        with pytest.raises(ValueError, match="field elements"):
+            f.power_table(np.array(bad), 3)
+    with pytest.raises(ValueError, match="count"):
+        f.power_table(np.array([1]), -1)
+    empty = f.power_table(np.array([0, 1, 2]), 0)
+    assert empty.shape == (0, 3) and empty.dtype == np.uint64
+
+
+def test_warm_verifier_makes_no_mul_array_calls(monkeypatch):
+    space = build_almost_kwise(32, 2, Fraction(1, 8))
+    first = verify_independence(space)  # warms the field's tables
+    calls = []
+    mul_array = gf2.GF2Field.mul_array
+
+    def counted(self, x, y):
+        calls.append(1)
+        return mul_array(self, x, y)
+
+    monkeypatch.setattr(gf2.GF2Field, "mul_array", counted)
+    again = verify_independence(build_almost_kwise(32, 2, Fraction(1, 8)))
+    assert calls == []
+    assert (again.max_tv, again.worst_subset, again.subsets_tested) == (
+        first.max_tv, first.worst_subset, first.subsets_tested,
+    )
