@@ -28,17 +28,7 @@ from math import ceil, comb, floor, log2
 import numpy as np
 
 from .matroid import COGRAPHIC, GRAPHIC, OracleSession, _rank
-from .samplespace import (
-    DEFAULT_ENUM_BUDGET,
-    SupportTooLargeError,
-    _unpack_words,
-    almost_builder,
-    build_almost_kwise,
-    build_kwise,
-    exact_builder,
-    mode_blocks,
-    with_marginal,
-)
+from .samplespace import DEFAULT_ENUM_BUDGET, _unpack_words, build_space, mode_blocks
 
 MODE_ENUMERATE = "enumerate"
 
@@ -52,6 +42,20 @@ class ClaimViolation(AssertionError):
 
 class PreconditionError(ValueError):
     """The instance is outside the regime the subroutine is specified for."""
+
+
+def _window_end(ell: int) -> Fraction:
+    """1.01 ell, exactly: a listing or survival window is [ell, 1.01 ell]."""
+    return Fraction(101 * ell, 100)
+
+
+def _deviation_lines(constants) -> tuple[str, ...]:
+    """One line per (name, full-strength, used) triple whose values differ."""
+    return tuple(
+        f"{name}: full-strength {full}, using {used}"
+        for name, full, used in constants
+        if full != used
+    )
 
 
 @dataclass(frozen=True)
@@ -135,12 +139,9 @@ class Constants:
     def deviations(self) -> list[str]:
         """Substitutions relative to the full-strength profile."""
         ref = Constants.paper()
-        out = []
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(ref, f.name)
-            if mine != theirs:
-                out.append(f"{f.name}: full-strength {theirs}, using {mine}")
-        return out
+        return list(_deviation_lines(
+            (f.name, getattr(ref, f.name), getattr(self, f.name)) for f in fields(self)
+        ))
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,10 @@ def _brute_circuits(session, label, elems, cap, window_hi, budget):
     n = len(elems)
     total = sum(comb(n, s) for s in range(1, cap + 1))
     if total > budget:
-        raise SupportTooLargeError(max(total, 2).bit_length(), budget)
+        raise PreconditionError(
+            f"brute listing queries {total} subsets of up to {cap} elements; enumeration "
+            f"budget is {budget} (needs a budget of at least {total})"
+        )
     combos = [
         np.fromiter(chain.from_iterable(combinations(range(n), s)), dtype=np.intp).reshape(-1, s)
         for s in range(1, cap + 1)
@@ -294,13 +298,13 @@ def list_circuits(
         raise PreconditionError(
             f"window start {ell} exceeds the sweep threshold {threshold:.2f}"
         )
-    window_hi = floor(1.01 * ell)
+    window_hi = floor(_window_end(ell))
     elems = session.elements()
 
     if ell <= constants.small_ell_cutoff:
         # brute regime: query every subset up to just past the window, then
         # read circuits off as the minimal dependent sets
-        cap = min(ceil(1.01 * ell), len(elems))
+        cap = min(ceil(_window_end(ell)), len(elems))
         found, queries = _brute_circuits(
             session, label, elems, cap, window_hi, constants.enum_budget
         )
@@ -308,12 +312,10 @@ def list_circuits(
 
     # sampled regime: one round holding a full detection batch per support
     # vector of the window's bounded-independence space
-    exp = constants.list_marginal_exp(m, ell, session.kind)
-    k = constants.k_list(ell)
-    if session.kind == GRAPHIC:
-        space = with_marginal(almost_builder, len(elems), k, constants.list_delta(m), exp)
-    else:
-        space = with_marginal(exact_builder, len(elems), k, Fraction(0), exp)
+    delta = constants.list_delta(m) if session.kind == GRAPHIC else 0
+    space = build_space(
+        len(elems), constants.k_list(ell), delta, constants.list_marginal_exp(m, ell, session.kind)
+    )
     # a round is one matrix, fixed before any answer: the blocks are joined
     blocks = mode_blocks(space, mode, constants.enum_budget, sample_count, seed)
     sel = _unpack_words(np.concatenate(list(blocks)), len(elems))
@@ -354,11 +356,8 @@ def find_large_independent_set(
                 f"minimum circuit size {mc} is within the sweep threshold "
                 f"{threshold:.2f}; sweep first"
             )
-    k = constants.k_flis(m)
-    if session.kind == GRAPHIC:
-        space = build_almost_kwise(len(elems), k, constants.flis_delta(m))
-    else:
-        space = build_kwise(len(elems), k)
+    delta = constants.flis_delta(m) if session.kind == GRAPHIC else 0
+    space = build_space(len(elems), constants.k_flis(m), delta)
     blocks = mode_blocks(space, mode, constants.enum_budget, sample_count, seed)
     # one round of every block; the whole element set rides along as query
     # zero so an already independent minor is taken in full
@@ -474,7 +473,7 @@ def find_basis(
                     "queries": clist.queries,
                 }
             )
-            ell = max(ell + 1, ceil(1.01 * ell))
+            ell = max(ell + 1, ceil(_window_end(ell)))
         if not session.elements():
             trace.append({"outer": outer, "sweep": sweep_steps, "harvested": 0})
             break

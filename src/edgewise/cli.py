@@ -9,7 +9,6 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
 from .basisfind import ClaimViolation, Constants, PreconditionError, find_basis
 from .experiments import (
@@ -25,15 +24,9 @@ from .experiments import (
     unique_cut_survival_experiment,
     unique_cycle_survival_experiment,
 )
+from .graph import _as_fraction
 from .matroid import OracleSession
-from .samplespace import (
-    SupportTooLargeError,
-    almost_builder,
-    dump_blocks,
-    exact_builder,
-    verify_independence,
-    with_marginal,
-)
+from .samplespace import SupportTooLargeError, build_space, dump_blocks, verify_independence
 
 
 def _parse_params(text):
@@ -73,12 +66,7 @@ def _graph_from_args(args):
 
 
 def _space_from_args(m, args):
-    delta = Fraction(args.delta) if args.delta is not None else Fraction(0)
-    L = args.marginal_L
-    builder = exact_builder if delta == 0 else almost_builder
-    if L and L > 1:
-        return with_marginal(builder, m, args.k, delta, L)
-    return builder(m, args.k, delta)
+    return build_space(m, args.k, _as_fraction(args.delta, "delta"), args.marginal_L)
 
 
 def _mode_kwargs(args):
@@ -87,11 +75,23 @@ def _mode_kwargs(args):
     return {"mode": "enumerate"}
 
 
-def _constants_file(args):
-    if getattr(args, "constants", None):
-        with open(args.constants) as fh:
-            return json.load(fh)
-    return {}
+def _constants_file(args, types) -> dict:
+    """The --constants file as read: a JSON object whose keys are among
+    those of types and whose values are of their key's types (never a bool)."""
+    if args.constants is None:
+        return {}
+    with open(args.constants) as fh:
+        blob = json.load(fh)
+    if not isinstance(blob, dict):
+        raise ValueError(f"--constants must hold a JSON object, not {type(blob).__name__}")
+    unknown = set(blob) - set(types)
+    if unknown:
+        raise ValueError(f"unknown constants: {sorted(unknown)}")
+    for key, value in blob.items():
+        if isinstance(value, bool) or not isinstance(value, types[key]):
+            names = " or ".join(t.__name__ for t in types[key])
+            raise ValueError(f"constant {key!r} must be {names}, not {value!r}")
+    return blob
 
 
 def _emit(args, payload: str, rates=None):
@@ -141,24 +141,25 @@ def _cmd_experiment(args):
     return 0
 
 
-# (name, parse, default) of each pipeline knob: an explicit flag wins over a
-# --constants file, which wins over the default
+# (name, JSON types in a --constants file, parse, default) of each pipeline
+# knob: an explicit flag wins over a --constants file, which wins over the default
 _PIPELINE_KNOBS = (
-    ("k", int, 2),
-    ("epsilon", float, 0.5),
-    ("delta", lambda x: float(Fraction(x)), 0.25),  # a rate such as 1/4 or 0.25
-    ("rate_scale", float, 1.0),
-    ("max_level", int, 20),
+    ("k", (int,), int, 2),
+    ("epsilon", (int, float), float, 0.5),
+    # a rate such as 1/4 or 0.25
+    ("delta", (int, float, str), lambda x: float(_as_fraction(x, "delta")), 0.25),
+    ("rate_scale", (int, float), float, 1.0),
+    ("max_level", (int,), int, 20),
 )
 
 
 def _cmd_pipeline(args):
     g, label = _graph_from_args(args)
-    knobs = _constants_file(args)
+    knobs = _constants_file(args, {name: types for name, types, _, _ in _PIPELINE_KNOBS})
     given = vars(args)
     values = {
         name: parse(knobs.get(name, default) if given[name] is None else given[name])
-        for name, parse, default in _PIPELINE_KNOBS
+        for name, _, parse, default in _PIPELINE_KNOBS
     }
     report = args.pipeline(
         g, generator=label, budget=args.budget, **values, **_mode_kwargs(args)
@@ -169,13 +170,10 @@ def _cmd_pipeline(args):
 
 def _cmd_find_basis(args):
     g, label = _graph_from_args(args)
-    overrides = _constants_file(args)
     base = Constants.desk().to_dict()
-    unknown = set(overrides) - set(base)
-    if unknown:
-        raise ValueError(f"unknown constants: {sorted(unknown)}")
-    base.update(overrides)
-    constants = Constants(**base)
+    # float knobs take any JSON number, int knobs only an int
+    types = {name: (int, float) if isinstance(v, float) else (int,) for name, v in base.items()}
+    constants = Constants(**{**base, **_constants_file(args, types)})
     session = OracleSession(g, args.kind)
     report = find_basis(
         session,
@@ -221,8 +219,8 @@ def _add_graph_flags(p):
 
 def _add_space_flags(p):
     p.add_argument("--k", type=int, default=2, help="independence order")
-    p.add_argument("--delta", default=None, help="near-uniformity slack, e.g. 1/8")
-    p.add_argument("--marginal-L", type=int, default=None, dest="marginal_L",
+    p.add_argument("--delta", default="0", help="near-uniformity slack, e.g. 1/8")
+    p.add_argument("--marginal-L", type=int, default=1, dest="marginal_L",
                    help="AND groups of L bits for marginal 2^-L")
 
 

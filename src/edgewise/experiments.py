@@ -25,8 +25,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .basisfind import PreconditionError
-from .graph import Graph
+from .basisfind import PreconditionError, _deviation_lines, _window_end
+from .graph import Graph, _as_int
 from .reweight import reweight_min_cut
 from .samplespace import (
     _WORD,
@@ -66,12 +66,13 @@ def _require_int(params: Mapping, key: str, low: int, default=None) -> int:
         if default is not None:
             return default
         raise ValueError(f"missing parameter {key!r}")
-    try:
-        val = int(params[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"parameter {key!r} must be an integer") from None
+    return _at_least(params[key], f"parameter {key!r}", low)
+
+
+def _at_least(x, what: str, low: int) -> int:
+    val = _as_int(x, what)
     if val < low:
-        raise ValueError(f"parameter {key!r} must be >= {low}")
+        raise ValueError(f"{what} must be >= {low}")
     return val
 
 
@@ -83,11 +84,9 @@ def _gen_cycle(params: Mapping, seed: int) -> Graph:
 def _gen_theta(params: Mapping, seed: int) -> Graph:
     """Two hub vertices joined by internally disjoint paths."""
     lengths = params.get("lengths")
-    if lengths is None:
-        raise ValueError("missing parameter 'lengths'")
-    lengths = [int(x) for x in lengths]
-    if len(lengths) < 2 or any(x < 1 for x in lengths):
-        raise ValueError("'lengths' needs >= 2 path lengths, each >= 1")
+    if not isinstance(lengths, (list, tuple)) or len(lengths) < 2:
+        raise ValueError(f"parameter 'lengths' needs >= 2 path lengths, not {lengths!r}")
+    lengths = [_at_least(x, "each of 'lengths'", 1) for x in lengths]
     edges = []
     nxt = 2
     for ln in lengths:
@@ -226,12 +225,9 @@ def _const(name: str, full, used) -> tuple[str, str, str]:
     return (name, str(full), str(used))
 
 
-def _deviation_lines(constants: Sequence[tuple[str, str, str]]) -> tuple[str, ...]:
-    return tuple(
-        f"{name}: full-strength {full}, using {used}"
-        for name, full, used in constants
-        if full != used
-    )
+def _full_order(count: int) -> int:
+    """The full-strength independence order 2 ceil(log2 count), count >= 2."""
+    return 2 * max(1, math.ceil(math.log2(max(count, 2))))
 
 
 @dataclass(frozen=True)
@@ -309,14 +305,9 @@ def _rows_all_set(words: np.ndarray, positions) -> np.ndarray:
     return _all_set(words, positions)
 
 
-def _row_popcounts(words: np.ndarray, n: int) -> np.ndarray:
-    tail = n % _WORD
-    view = words
-    if tail:
-        # mask off bits beyond coordinate n-1 in the last word
-        view = words.copy()
-        view[:, -1] &= np.uint64((1 << tail) - 1)
-    return np.bitwise_count(view).sum(axis=1, dtype=np.int64)
+def _row_popcounts(words: np.ndarray) -> np.ndarray:
+    # every space packs exactly n bits, so no row sets a bit past n - 1
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
 def _row_to_int(words: np.ndarray, i: int) -> int:
@@ -452,10 +443,13 @@ def _union_bound_floor(cuts, order: Sequence[int], space: SampleSpace) -> Fracti
 
 def _components_kept(g: Graph, order: Sequence[int], space):
     """The verdict that a row's kept edges leave the components of g intact,
-    the union-bound floor and the cut list.  Cuts are listed when g has at
-    most 20 vertices; a witness then names its first fully dropped cut, else
-    the floor is 0.  No space (the all-ones row) has floor 1."""
-    cuts = g.enumerate_cuts() if g.n <= 20 else None
+    the union-bound floor and the cut list.  Cuts are listed when g is within
+    Graph.enumerate_cuts' cap; a witness then names its first fully dropped
+    cut, else the floor is 0.  No space (the all-ones row) has floor 1."""
+    try:
+        cuts = g.enumerate_cuts()
+    except ValueError:  # past the cut enumeration cap
+        cuts = None
     if space is None:
         floor = Fraction(1)
     else:
@@ -495,13 +489,11 @@ def connectivity_experiment(
     order = _check_space_matches(g, space)
     blocks = mode_blocks(space, mode, budget, trials, seed)
     verdict, floor, cuts = _components_kept(g, order, space)
-    m = len(order)
-    k_full = 2 * max(1, math.ceil(math.log2(max(m, 2))))
     return _report(
         g, _fold(blocks, order, verdict),
         theorem="kept subgraph preserves components",
         constants=(
-            _const("independence_order", k_full, space.params.k),
+            _const("independence_order", _full_order(len(order)), space.params.k),
             _const("marginal", Fraction(1, 2), space.params.marginal),
             _const("independence_defect", 0, space.params.delta),
         ),
@@ -539,27 +531,27 @@ def cyclefree_experiment(
     cycles = functools.cache(g.enumerate_cycles)
 
     def verdict(block):
-        kept = _row_popcounts(block, m)
+        kept = _row_popcounts(block)
         big_enough = kept >= floor
         acyclic = kept == g.n - g.component_counts(block)
 
         def reason(i: int, vec: int) -> str:
             if acyclic[i]:
                 return "fewer than the edge floor survived"
-            if m > 40:
+            try:
+                return f"cycle {sorted(_first_kept(cycles(), pos, vec))} survived"
+            except ValueError:  # past the cycle enumeration cap
                 return "a cycle survived"
-            return f"cycle {sorted(_first_kept(cycles(), pos, vec))} survived"
 
         tallies = {"acyclic": int(acyclic.sum()), "enough_edges": int(big_enough.sum())}
         return acyclic & big_enough, tallies, reason
 
     run = _fold(blocks, order, verdict)
-    k_full = 2 * max(1, math.ceil(math.log2(max(m, 2))))
     return _report(
         g, run,
         theorem="kept subgraph is cycle-free and not too small",
         constants=(
-            _const("independence_order", k_full, space.params.k),
+            _const("independence_order", _full_order(m), space.params.k),
             _const("marginal", Fraction(1, 2), space.params.marginal),
             _const("independence_defect", Fraction(1, max(m, 2) ** 200), space.params.delta),
         ),
@@ -576,8 +568,7 @@ def cyclefree_experiment(
 
 
 def _window_check(size: int, ell: int, what: str) -> None:
-    # integer-exact test of ell <= size <= 1.01 * ell
-    if not (ell <= size and 100 * size <= 101 * ell):
+    if not (ell <= size <= _window_end(ell)):
         raise ValueError(
             f"{what} size {size} outside the sampling window [{ell}, 1.01*{ell}]"
         )
@@ -615,7 +606,7 @@ def _unique_survival(
         if family == "cut":
             alone = g.component_counts(~rows) == g.component_count() + 1
         else:
-            alone = _row_popcounts(rows, m) - g.n + g.component_counts(rows) == 1
+            alone = _row_popcounts(rows) - g.n + g.component_counts(rows) == 1
         ok = np.zeros(block.shape[0], dtype=bool)
         ok[kept_target] = alone
 
@@ -628,9 +619,9 @@ def _unique_survival(
         return ok, {"target": int(kept_target.sum())}, reason
 
     run = _fold(blocks, order, verdict)
-    log_m = max(1, math.ceil(math.log2(max(m, 2))))
+    log_m = _full_order(m) // 2  # ceil(log2 m)
     if family == "cut":
-        k_full, scale, defect, size_key = 2 * math.ceil(1.01 * ell), 10, 0, "min_cut_size"
+        k_full, scale, defect, size_key = 2 * math.ceil(_window_end(ell)), 10, 0, "min_cut_size"
     else:
         k_full, scale, defect, size_key = 2 * ell, 200, Fraction(1, max(m, 2) ** 500), "girth"
     return _report(
@@ -774,7 +765,7 @@ def sparsify_experiment(
             return f"quadratic form ratio [{lo[i]:.4f}, {hi[i]:.4f}] outside 1+-{epsilon}"
 
         # tallied by kept-edge count, in order of first appearance
-        return ok, Counter(_row_popcounts(block, m).tolist()), reason
+        return ok, Counter(_row_popcounts(block).tolist()), reason
 
     run = _fold(blocks, order, verdict)
     hist = {str(c): count for c, count in run.tallies.items()}
@@ -786,7 +777,7 @@ def sparsify_experiment(
         theorem="reweighted sample approximates the quadratic form",
         constants=(
             _const("oversample_scale", 1.0, rate_scale),
-            _const("independence_order", max(2, 2 * math.ceil(math.log2(max(g.n, 2)))), k),
+            _const("independence_order", _full_order(g.n), k),
         ),
         descriptor=descriptor,
         mode=mode,
@@ -844,7 +835,6 @@ def reweight_then_connectivity(
     plan = sparsify_rates(gw, weighting.table, k, epsilon, delta, rate_scale)
 
     order = g.edge_ids()
-    m = len(order)
     levels, space, blocks, descriptor = _rate_space(
         plan.rates, order, k, max_level, mode, trials, seed, budget
     )
@@ -854,7 +844,7 @@ def reweight_then_connectivity(
         theorem="weighted rates keep the graph in one piece",
         constants=(
             _const("oversample_scale", 1.0, rate_scale),
-            _const("independence_order", 2 * max(1, math.ceil(math.log2(max(m, 2)))), k),
+            _const("independence_order", _full_order(len(order)), k),
         ),
         descriptor=descriptor,
         mode=mode,

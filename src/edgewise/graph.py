@@ -133,14 +133,15 @@ def _row_lists(matrix: np.ndarray, labels=None) -> list[list]:
     return [flat[a:b] for a, b in zip([0] + stops, stops)]
 
 
-def _as_weight(w) -> Fraction:
+def _as_fraction(x, what: str) -> Fraction:
+    """x as an exact Fraction >= 0, from a number or a rational string ("3/2")."""
     try:
-        w = Fraction(w)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"edge weight must be a number or a rational string, not {w!r}") from None
-    if w < 0:
-        raise ValueError("edge weights must be >= 0")
-    return w
+        x = Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError(f"{what} must be a number or a rational string, not {x!r}") from None
+    if x < 0:
+        raise ValueError(f"{what} must be >= 0, not {x}")
+    return x
 
 
 def _as_int(x, what: str) -> int:
@@ -166,7 +167,7 @@ def _checked(n: int, items):
             (u, v), w = e, _ONE
         else:
             u, v, w = e
-            w = _as_weight(w)
+            w = _as_fraction(w, "edge weights")
         if not (type(eid) is type(u) is type(v) is int):  # the common case is checked fast
             eid, u, v = (_as_int(x, "edge id or endpoint") for x in (eid, u, v))
         if not (0 <= u < n and 0 <= v < n):
@@ -631,7 +632,7 @@ class Graph:
         """Same graph with weights replaced per edge id (others unchanged);
         only the supplied weights of this graph's edges are checked."""
         return Graph._trusted(self.n, (
-            (e, u, v, _as_weight(mapping[e]) if e in mapping else w)
+            (e, u, v, _as_fraction(mapping[e], "edge weights") if e in mapping else w)
             for e, u, v, w in self.edges()
         ))
 
@@ -657,7 +658,7 @@ class Graph:
         n, m = int(rows[0][0]), int(rows[0][1])
         if len(rows) - 1 != m:
             raise ValueError(f"expected {m} edge lines, got {len(rows) - 1}")
-        return cls(n, [(int(r[0]) - 1, int(r[1]) - 1, *map(Fraction, r[2:])) for r in rows[1:]])
+        return cls(n, [(int(r[0]) - 1, int(r[1]) - 1, *r[2:]) for r in rows[1:]])
 
     def to_json(self) -> str:
         payload = {

@@ -498,6 +498,14 @@ def exact_builder(n: int, k: int, delta) -> PolynomialSpace:
 almost_builder = build_almost_kwise
 
 
+def build_space(n: int, k: int, delta, L: int = 1) -> SampleSpace:
+    """The space a (k, delta, L) choice names: exactly k-wise when delta is
+    0, else delta-almost k-wise, with each bit the AND of L such bits when
+    L > 1 (marginal 2^-L).  L < 1 is a ValueError, as in with_marginal."""
+    builder = exact_builder if delta == 0 else almost_builder
+    return builder(n, k, delta) if L == 1 else with_marginal(builder, n, k, delta, L)
+
+
 @dataclass
 class IndependenceReport:
     max_tv: Fraction

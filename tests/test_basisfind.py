@@ -210,6 +210,19 @@ def test_listing_window_and_kind_validation():
         list_circuits(s, 3, K4.m)
 
 
+def test_brute_listing_over_budget_names_its_subset_count():
+    # window [1, 1] on complete(7) queries every subset of up to 2 of its 21
+    # edges: 21 + 210 = 231 queries, refused before any round is run
+    g = Graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
+    session = OracleSession(g, GRAPHIC)
+    consts = dataclasses.replace(Constants.desk(), enum_budget=50)
+    with pytest.raises(PreconditionError, match="queries 231 subsets of up to 2 elements") as ei:
+        list_circuits(session, 1, g.m, consts)
+    assert "budget is 50 (needs a budget of at least 231)" in str(ei.value)
+    assert session.ledger.total_rounds == 0
+    assert len(list_circuits(session, 1, g.m, dataclasses.replace(consts, enum_budget=231)).circuits) == 0
+
+
 def test_listing_sampled_regime_enumerated_cuts():
     # force the sample-space path with a zero cutoff; exact pairwise space at
     # marginal 1/2 still isolates the parallel-pair cut

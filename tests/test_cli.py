@@ -408,6 +408,102 @@ def test_graph_text_with_malformed_line_is_an_error(capsys, tmp_path, text):
     assert out == ""
 
 
+def assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# each value read from outside goes through one reader: ints stay ints, a
+# rational with a zero denominator is a bad value, --constants is a checked
+# JSON object, and --marginal-L below 1 is refused
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "cycle", "--params", "length=4.7"],
+        ["gen", "--family", "theta", "--params", "lengths=5"],
+        ["connectivity", "--family", "cycle", "--params", "length=5", "--delta", "1/0"],
+        ["verify-space", "--n", "4", "--delta", "1/0"],
+        ["sparsify", "--family", "cycle", "--params", "length=5", "--delta", "1/0"],
+        ["verify-space", "--n", "4", "--marginal-L", "0"],
+        ["verify-space", "--n", "4", "--marginal-L", "-3"],
+        ["connectivity", "--family", "cycle", "--params", "length=5", "--marginal-L", "0"],
+    ],
+    ids=["float-int", "theta-scalar", "delta-conn", "delta-verify", "delta-sparsify",
+         "L0", "L-3", "L0-conn"],
+)
+def test_bad_flag_values_are_one_error_line(capsys, argv):
+    assert_one_error_line(*run_main(capsys, *argv))
+
+
+@pytest.mark.parametrize("suffix,text", [(".txt", "2 1\n1 2 1/0\n"), (
+    ".json", '{"n": 2, "edges": [{"id": 1, "u": 0, "v": 1, "w": "1/0"}]}'
+)])
+def test_graph_file_with_zero_denominator_weight_is_an_error(capsys, tmp_path, suffix, text):
+    path = tmp_path / f"g{suffix}"
+    path.write_text(text)
+    code, out, err = run_main(capsys, "connectivity", "--graph", str(path), "--k", "2")
+    assert_one_error_line(code, out, err)
+    assert "'1/0'" in err
+
+
+@pytest.mark.parametrize(
+    "command,blob,message",
+    [
+        ("sparsify", {"epsilom": 0.5}, "unknown constants: ['epsilom']"),
+        ("reweight", {"epsilom": 0.5}, "unknown constants: ['epsilom']"),
+        ("sparsify", [0.5], "JSON object"),
+        ("reweight", [0.5], "JSON object"),
+        ("sparsify", {"k": 2.7}, "'k' must be int"),
+        ("sparsify", {"max_level": True}, "'max_level' must be int"),
+        ("reweight", {"epsilon": "0.5"}, "'epsilon' must be int or float"),
+        ("reweight", {"delta": "1/0"}, "delta must be a number or a rational string"),
+        ("find-basis", {"girth_mult": "a"}, "'girth_mult' must be int or float"),
+        ("find-basis", {"small_ell_cutoff": True}, "'small_ell_cutoff' must be int"),
+        ("find-basis", {"enum_budget": 2.5}, "'enum_budget' must be int"),
+        ("find-basis", [], "JSON object"),
+    ],
+)
+def test_constants_file_is_checked_the_same_for_every_command(
+    capsys, tmp_path, command, blob, message
+):
+    knobs = tmp_path / "knobs.json"
+    knobs.write_text(json.dumps(blob))
+    kind = ["--kind", "graphic"] if command == "find-basis" else []
+    code, out, err = run_main(
+        capsys, command, "--family", "cycle", "--params", "length=5", *kind,
+        "--constants", str(knobs),
+    )
+    assert_one_error_line(code, out, err)
+    assert message in err
+
+
+def test_constants_file_values_are_not_converted(capsys, tmp_path):
+    knobs = tmp_path / "c.json"
+    knobs.write_text(json.dumps({"girth_mult": 1, "enum_budget": 1 << 20}))
+    code, out, err = run_main(
+        capsys, "find-basis", "--family", "cycle", "--params", "length=6",
+        "--kind", "graphic", "--constants", str(knobs),
+    )
+    assert code == 0, err
+    assert '"girth_mult": 1,' in out
+    assert json.loads(out)["constants_used"]["enum_budget"] == 1 << 20
+
+
+def test_brute_listing_budget_error_names_the_subset_count(capsys, tmp_path):
+    # complete(7) graphic: window [1, 1] queries the 21 singletons and the 210
+    # pairs, 231 subsets, which is not a support of 2^8 vectors
+    knobs = tmp_path / "c.json"
+    knobs.write_text(json.dumps({"enum_budget": 50}))
+    code, out, err = run_main(
+        capsys, "find-basis", "--kind", "graphic", "--family", "complete",
+        "--params", "vertices=7", "--constants", str(knobs),
+    )
+    assert_one_error_line(code, out, err)
+    assert "231 subsets" in err and "needs a budget of at least 231" in err
+    assert "2^" not in err
+
+
 def test_subprocess_reports_byte_identical(tmp_path):
     argv = [
         sys.executable, "-m", "edgewise.cli", "cyclefree",

@@ -113,6 +113,33 @@ def test_bad_params_rejected():
         gen_graph("expander_like", {"vertices": 5, "degree": 3})  # odd sum
     with pytest.raises(ValueError):
         gen_graph("theta", {"lengths": [3]})
+    # integers are never truncated or parsed from strings
+    for family, params in (
+        ("cycle", {"length": 4.7}),
+        ("cycle", {"length": "5"}),
+        ("complete", {"vertices": True}),
+        ("dumbbell", {"left": 3, "right": 2.0}),
+        ("theta", {"lengths": 5}),
+        ("theta", {}),
+        ("theta", {"lengths": [2, 3.5]}),
+        ("theta", {"lengths": [2, 0]}),
+    ):
+        with pytest.raises(ValueError, match="parameter|lengths"):
+            gen_graph(family, params)
+
+
+def test_expander_like_odd_degree_adds_a_matching():
+    for seed in range(4):
+        g = gen_graph("expander_like", {"vertices": 8, "degree": 3}, seed=seed)
+        assert (g.n, g.m) == (8, 12)  # no loop was dropped
+        assert all(g.degree(v) == 3 for v in range(8))
+        assert all(u != v for _, u, v, _ in g.edges())
+
+
+def test_dumbbell_right_defaults_to_left():
+    one = gen_graph("dumbbell", {"left": 4})
+    assert one.to_json() == gen_graph("dumbbell", {"left": 4, "right": 4}).to_json()
+    assert (one.n, one.m) == (8, 13)
 
 
 def test_unread_param_keys_rejected():

@@ -632,6 +632,21 @@ def test_constructor_rejects_non_int_ids_and_endpoints():
         Graph.from_json(json.dumps(twice))
 
 
+def test_zero_denominator_weight_is_a_value_error():
+    # every reader of a weight turns Fraction's ZeroDivisionError into a
+    # ValueError naming the value
+    json_text = '{"n": 2, "edges": [{"id": 1, "u": 0, "v": 1, "w": "1/0"}]}'
+    for build in (
+        lambda: Graph(2, [(0, 1, "1/0")]),
+        lambda: Graph.from_text("2 1\n1 2 1/0\n"),
+        lambda: Graph.from_json(json_text),
+        lambda: Graph(2, [(0, 1)]).with_weights({1: "1/0"}),
+    ):
+        with pytest.raises(ValueError, match="edge weights must be a number or a rational string"):
+            build()
+    assert Graph.from_text("2 1\n1 2 3/2\n").weight(1) == Fraction(3, 2)
+
+
 @pytest.mark.parametrize(
     "payload,field",
     [

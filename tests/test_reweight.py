@@ -55,6 +55,12 @@ def test_cluster_single_edge():
     check_partition_contract(g, cp)
 
 
+def test_cluster_single_vertex():
+    cp = cluster_low_rdiam(Graph(1))
+    assert cp.parts == ((0,),)
+    assert cp.crossing_weight == 0 and cp.max_part_rdiam == 0.0
+
+
 def test_cluster_complete_graph_single_part():
     g = complete_graph(8)
     cp = cluster_low_rdiam(g)

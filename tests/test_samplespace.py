@@ -24,6 +24,7 @@ from edgewise.samplespace import (
     almost_builder,
     build_almost_kwise,
     build_kwise,
+    build_space,
     dump_support,
     exact_builder,
     group_heterogeneous,
@@ -295,6 +296,18 @@ def test_param_validation():
         with_marginal(exact_builder, 4, 2, Fraction(0), 0)
     with pytest.raises(ValueError):
         exact_builder(4, 2, Fraction(1, 8))
+
+
+def test_build_space_names_one_space_per_choice():
+    same = lambda a, b: a.descriptor_json() == b.descriptor_json()  # noqa: E731
+    eighth = Fraction(1, 8)
+    assert same(build_space(6, 3, 0), build_kwise(6, 3))
+    assert same(build_space(6, 3, eighth), build_almost_kwise(6, 3, eighth))
+    assert same(build_space(4, 2, 0, 3), with_marginal(exact_builder, 4, 2, 0, 3))
+    assert same(build_space(4, 2, eighth, 2), with_marginal(almost_builder, 4, 2, eighth, 2))
+    for L in (0, -3):
+        with pytest.raises(ValueError, match="L must be >= 1"):
+            build_space(4, 2, 0, L)
 
 
 # -- the parity-bias verifier against the support-enumerating oracle ----------
