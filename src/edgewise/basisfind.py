@@ -443,6 +443,7 @@ def find_basis(
         m = len(session.elements())
     ground_order = sorted(session.elements())
     threshold = constants.threshold(m, kind)
+    full_rank = _rank(session.graph, kind, ground_order)
 
     trace: list[dict] = []
     outer = 0
@@ -455,15 +456,10 @@ def find_basis(
                 session, ell, m, constants,
                 mode=mode, sample_count=sample_count, seed=seed,
             )
-            rank_before = session.rank()
             kept = delete_circuits(ground_order, session.elements(), clist.circuits)
             removed = sorted(set(session.elements()) - kept)
             if removed:
                 session.delete(removed)
-            if session.rank() != rank_before:
-                raise ClaimViolation(
-                    "deleting one element per listed circuit changed the rank"
-                )
             sweep_steps.append(
                 {
                     "ell": ell,
@@ -474,6 +470,9 @@ def find_basis(
                 }
             )
             ell = max(ell + 1, ceil(_window_end(ell)))
+        # T is independent, so only a sweep deletion can move the rank off full_rank - |T|
+        if session.rank() != full_rank - len(session.contracted):
+            raise ClaimViolation("deleting one element per listed circuit changed the rank")
         if not session.elements():
             trace.append({"outer": outer, "sweep": sweep_steps, "harvested": 0})
             break
@@ -489,8 +488,7 @@ def find_basis(
         trace.append({"outer": outer, "sweep": sweep_steps, "harvested": len(got)})
 
     basis = set(session.contracted)
-    fresh = OracleSession(session.graph, kind)
-    verified = _rank(session.graph, kind, basis) == len(basis) == fresh.rank()
+    verified = _rank(session.graph, kind, basis) == len(basis) == full_rank
 
     ledger = session.ledger.to_dict()
     ledger["ground_size"] = m

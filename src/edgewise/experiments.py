@@ -27,12 +27,14 @@ import numpy as np
 
 from .basisfind import PreconditionError, _deviation_lines, _window_end
 from .graph import Graph, _as_int
+from .matroid import COGRAPHIC, GRAPHIC, _nullities
 from .reweight import reweight_min_cut
 from .samplespace import (
     _WORD,
     SampleSpace,
     _all_set,
     _pack_words,
+    _row_popcounts,
     _unpack_words,
     build_kwise,
     group_heterogeneous,
@@ -305,11 +307,6 @@ def _rows_all_set(words: np.ndarray, positions) -> np.ndarray:
     return _all_set(words, positions)
 
 
-def _row_popcounts(words: np.ndarray) -> np.ndarray:
-    # every space packs exactly n bits, so no row sets a bit past n - 1
-    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-
-
 def _row_to_int(words: np.ndarray, i: int) -> int:
     v = 0
     for j in range(words.shape[1] - 1, -1, -1):
@@ -519,9 +516,9 @@ def cyclefree_experiment(
     """Rates of acyclicity and of keeping at least a tenth of the edges.
 
     success = both at once (the existence claim is success rate > 0, which
-    the caller asserts).  A kept edge set is acyclic when it has n - c
-    edges for c the components it leaves.  A witness names its first
-    surviving cycle when the graph is small enough to list them.
+    the caller asserts).  A kept edge set is acyclic when its graphic
+    nullity is 0.  A witness names its first surviving cycle when the
+    graph is small enough to list them.
     """
     order = _check_space_matches(g, space)
     blocks = mode_blocks(space, mode, budget, trials, seed)
@@ -531,9 +528,8 @@ def cyclefree_experiment(
     cycles = functools.cache(g.enumerate_cycles)
 
     def verdict(block):
-        kept = _row_popcounts(block)
-        big_enough = kept >= floor
-        acyclic = kept == g.n - g.component_counts(block)
+        big_enough = _row_popcounts(block) >= floor
+        acyclic = _nullities(g, GRAPHIC, block) == 0
 
         def reason(i: int, vec: int) -> str:
             if acyclic[i]:
@@ -581,16 +577,16 @@ def _unique_survival(
     """Rate at which the chosen cut or cycle is fully kept and no other
     member of its family is.
 
-    With the target kept, its cut is the only whole one exactly when the
-    dropped edges leave one more component than g has, and its cycle is the
-    only one exactly when the kept subgraph has cycle rank 1.
+    With the target kept, it is the only whole member of its family exactly
+    when the kept edges have nullity 1 in the family's matroid: cographic
+    for cuts, graphic for cycles.
     """
     order = _check_space_matches(g, space)
     target = frozenset(target_edges)
     if family == "cut":
-        members = [eids for eids, _, _ in g.enumerate_cuts()]
+        kind, members = COGRAPHIC, [eids for eids, _, _ in g.enumerate_cuts()]
     else:
-        members = g.enumerate_cycles()
+        kind, members = GRAPHIC, g.enumerate_cycles()
     if target not in members:
         raise ValueError(f"the chosen edge set is not a {family} of the graph")
     ell = min(len(eids) for eids in members)
@@ -602,13 +598,8 @@ def _unique_survival(
 
     def verdict(block):
         kept_target = _rows_all_set(block, [pos[e] for e in sorted(target)])
-        rows = block[kept_target]
-        if family == "cut":
-            alone = g.component_counts(~rows) == g.component_count() + 1
-        else:
-            alone = _row_popcounts(rows) - g.n + g.component_counts(rows) == 1
         ok = np.zeros(block.shape[0], dtype=bool)
-        ok[kept_target] = alone
+        ok[kept_target] = _nullities(g, kind, block[kept_target]) == 1
 
         def reason(i: int, vec: int) -> str:
             if not kept_target[i]:

@@ -6,10 +6,10 @@ symbolic minor (contracted set T, deleted set D) and answers queries against
 it through the identity Ind(S in minor) = Ind(S union T in the full matroid),
 so no graph surgery happens per query.  A batch of queries is a 0/1 matrix
 whose row i selects the elements() where it holds a 1; query_rows builds
-one from edge-id sets.  Every answer comes from one batched component
-count: S union T is graphic-independent when it has n - c edges for c the
-components it leaves, and cographic-independent when removing it leaves
-as many components as the graph has.
+one from edge-id sets.  Every answer comes from one batched nullity
+(_nullities, one component count per row): S union T is independent when
+its nullity is 0.  Nothing else in a session reaches that kernel, so every
+row it counts is a billed query.
 
 A round is a batch of queries fixed before any of them is answered:
 run_round takes the whole batch up front, answers it, and records one
@@ -23,7 +23,7 @@ import json
 import numpy as np
 
 from .graph import Graph
-from .samplespace import _pack_words
+from .samplespace import _pack_words, _row_popcounts
 
 GRAPHIC = "graphic"
 COGRAPHIC = "cographic"
@@ -41,6 +41,17 @@ def _rank(g: Graph, kind: str, S) -> int:
     if kind == GRAPHIC:
         return g.n - g.component_count(S)
     return len(S) + g.component_count() - g.component_count(set(g.edge_ids()) - S)
+
+
+def _nullities(g: Graph, kind: str, words) -> np.ndarray:
+    """|X| - r(X) per word row X (as in Graph.component_counts, no bit past
+    m - 1), the batched twin of _rank from one component_counts call:
+    |X| - n + c(X) graphic, c(E - X) - c(E) >= 0 cographic."""
+    if kind == GRAPHIC:
+        out = _row_popcounts(words)
+        out -= g.n - g.component_counts(words)  # in place: one int64 array per block
+        return out
+    return g.component_counts(~words) - g.component_count()
 
 
 def ind_graphic(g: Graph, S) -> bool:
@@ -109,7 +120,6 @@ class OracleSession:
         self.deleted: set[int] = set()
         self.ledger = QueryLedger()
         self._col = {eid: j for j, eid in enumerate(g.edge_ids())}
-        self._components = g.component_count()
 
     # -- element bookkeeping ------------------------------------------------
 
@@ -132,18 +142,6 @@ class OracleSession:
                 rows[i, col[eid]] = 1
         return rows
 
-    def _answers(self, rows: np.ndarray) -> np.ndarray:
-        """Ind(S union T) in the full matroid for every row S, in one kernel call."""
-        g = self.graph
-        full = np.zeros((rows.shape[0], g.m), dtype=np.uint8)
-        full[:, [self._col[e] for e in self.elements()]] = rows
-        full[:, [self._col[e] for e in self.contracted]] = 1
-        words = _pack_words(full)
-        if self.kind == GRAPHIC:
-            sizes = rows.sum(axis=1, dtype=np.int64) + len(self.contracted)
-            return sizes == g.n - g.component_counts(words)
-        return g.component_counts(~words) == self._components
-
     # -- the oracle ---------------------------------------------------------
 
     def query(self, S) -> bool:
@@ -154,23 +152,28 @@ class OracleSession:
         """One parallel round: all queries are fixed before any answer.
 
         rows is a (queries, len(elements())) 0/1 matrix; the result is one
-        boolean answer per row.
+        boolean answer per row, Ind(S union T) in the full matroid.
         """
         rows = np.asarray(rows)
-        width = len(self.elements())
-        if rows.ndim != 2 or rows.shape[1] != width or not ((rows == 0) | (rows == 1)).all():
-            raise ValueError(f"need a (queries, {width}) 0/1 matrix over elements()")
-        answers = self._answers(rows.astype(np.uint8, copy=False))
+        elems = self.elements()
+        if rows.ndim != 2 or rows.shape[1] != len(elems) or not ((rows == 0) | (rows == 1)).all():
+            raise ValueError(f"need a (queries, {len(elems)}) 0/1 matrix over elements()")
+        full = np.zeros((rows.shape[0], self.graph.m), dtype=np.uint8)
+        full[:, [self._col[e] for e in elems]] = rows
+        full[:, [self._col[e] for e in self.contracted]] = 1
+        answers = _nullities(self.graph, self.kind, _pack_words(full)) == 0
         self.ledger.record(label, rows.shape[0])
         return answers
 
     # -- minor surgery ------------------------------------------------------
 
     def contract(self, S):
-        """Move S into the contracted set; S union T must stay independent."""
-        if not self._answers(self.query_rows([S]))[0]:
+        """Move S into T; S union T must stay independent, checked off the ledger."""
+        self.query_rows([S])  # validates S
+        both = self.contracted | set(S)
+        if _rank(self.graph, self.kind, both) != len(both):
             raise ValueError("cannot contract a dependent set")
-        self.contracted |= set(S)
+        self.contracted = both
 
     def delete(self, S):
         self.query_rows([S])  # validates S

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _as_int
 from .spectral import ResistanceTable, leverage_scores, resistance_diameter, resistance_matrix
 
 ALPHA0 = 1.0
@@ -212,7 +212,7 @@ def reweight_min_cut(g: Graph, delta_param="auto") -> WeightingResult:
         raise ValueError("reweighting expects unit input weights")
     if not g.is_connected():
         raise ValueError("reweighting expects a connected graph")
-    delta = auto_delta(g.n, g.m) if delta_param == "auto" else int(delta_param)
+    delta = auto_delta(g.n, g.m) if delta_param == "auto" else _as_int(delta_param, "delta_param")
     if delta < 2:
         raise ValueError("delta_param must be >= 2")
 

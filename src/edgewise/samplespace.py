@@ -117,6 +117,11 @@ def _pack_words(bits: np.ndarray) -> np.ndarray:
     return out.view("<u8").astype(np.uint64, copy=False)
 
 
+def _row_popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits per word row; every packed row leaves its tail bits clear."""
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+
+
 def _span_into(out: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Fill out[..., s, :] with the XOR of rows[..., b, :] over the bits b of s.
 
@@ -637,25 +642,59 @@ def verify_independence(
     )
 
 
+def _descriptor_field(desc, name: str, kind: type):
+    """desc[name], a JSON value of the given kind (a bool is never an int);
+    ValueError naming the field when it is missing or of another kind."""
+    if not isinstance(desc, dict) or name not in desc:
+        raise ValueError(f"space descriptor has no field {name!r}")
+    value = desc[name]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"space descriptor field {name!r} must be {kind.__name__}, not {value!r}")
+    return value
+
+
 def space_from_descriptor(desc: dict) -> SampleSpace:
-    """Rebuild a space from its descriptor; bit-exact regeneration."""
-    kind = desc["construction"]
-    delta = Fraction(desc["delta"]["num"], desc["delta"]["den"])
+    """Rebuild a space from its descriptor; bit-exact regeneration.
+
+    The descriptor is outside input: an unknown construction, a missing
+    field, one of the wrong JSON type, and one that differs from the rebuilt
+    space's own descriptor() (an edited seed_bits, say) are each a
+    ValueError naming it.
+    """
+    kind = _descriptor_field(desc, "construction", str)
+    if kind not in ("poly_eval", "small_bias", "grouped"):
+        raise ValueError(f"unknown construction {kind!r}")
+    n, k = _descriptor_field(desc, "n", int), _descriptor_field(desc, "k", int)
+    frac = _descriptor_field(desc, "delta", dict)
+    num, den = _descriptor_field(frac, "num", int), _descriptor_field(frac, "den", int)
+    if den == 0:
+        raise ValueError("space descriptor field 'den' must not be 0")
+    delta = Fraction(num, den)
     if kind == "poly_eval":
-        return build_kwise(desc["n"], desc["k"])
-    if kind == "small_bias":
-        return build_almost_kwise(desc["n"], desc["k"], delta)
-    if kind == "grouped":
-        sizes = desc["group_sizes"]
-        underlying = space_from_descriptor(desc["underlying"])
-        return group_heterogeneous(
-            underlying,
+        space = build_kwise(n, k)
+    elif kind == "small_bias":
+        space = build_almost_kwise(n, k, delta)
+    else:
+        sizes = _descriptor_field(desc, "group_sizes", list)
+        if not all(isinstance(size, int) and not isinstance(size, bool) for size in sizes):
+            raise ValueError(f"space descriptor field 'group_sizes' must list ints, not {sizes!r}")
+        space = group_heterogeneous(
+            space_from_descriptor(_descriptor_field(desc, "underlying", dict)),
             sizes,
-            desc["k"],
+            k,
             delta,
-            complemented=desc["complemented"],
+            complemented=_descriptor_field(desc, "complemented", bool),
         )
-    raise ValueError(f"unknown construction {kind!r}")
+    own = space.descriptor()
+    for name in sorted(own.keys() | desc.keys(), key=str):
+        if name not in own:
+            raise ValueError(f"space descriptor has an unknown field {name!r}")
+        if _descriptor_field(desc, name, type(own[name])) != own[name]:  # typed: True is not 1
+            raise ValueError(
+                f"space descriptor field {name!r} is {desc[name]!r}, "
+                f"but the space it rebuilds has {own[name]!r}"
+            )
+    return space
 
 
 def mode_blocks(space: SampleSpace, mode: str, budget: int | None, count, seed: int):

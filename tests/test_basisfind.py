@@ -26,6 +26,7 @@ from edgewise.basisfind import (
     find_large_independent_set,
     list_circuits,
 )
+from edgewise.experiments import gen_graph
 from edgewise.graph import Graph
 from edgewise.matroid import COGRAPHIC, GRAPHIC, OracleSession, ind_cographic, ind_graphic
 
@@ -110,6 +111,11 @@ def test_delete_circuits_shared_nominee_removed_once():
 
 def test_delete_circuits_empty_list_is_identity():
     assert delete_circuits([1, 2, 3], {1, 2, 3}, []) == {1, 2, 3}
+
+
+def test_delete_circuits_empty_circuit_rejected():
+    with pytest.raises(ValueError, match="empty circuit"):
+        delete_circuits([1, 2, 3], {1, 2}, [frozenset({1, 2}), frozenset()])
 
 
 def test_delete_circuits_foreign_circuit_rejected():
@@ -409,6 +415,23 @@ def test_find_basis_cographic_examples():
     tree = Graph(4, [(0, 1), (1, 2), (2, 3)])
     r = find_basis(OracleSession(tree, COGRAPHIC))
     assert r.basis == () and r.verified
+
+
+@pytest.mark.parametrize("kind", [GRAPHIC, COGRAPHIC])
+def test_every_kernel_row_is_a_billed_query(kind, monkeypatch):
+    # run_round is the session's only way into the component_counts kernel:
+    # contraction and the rank checks count with union-find, off the ledger
+    rows = []
+    counts = Graph.component_counts
+
+    def counting(self, words):
+        rows.append(len(words))
+        return counts(self, words)
+
+    monkeypatch.setattr(Graph, "component_counts", counting)
+    report = find_basis(OracleSession(gen_graph("complete", {"vertices": 5}), kind))
+    assert report.verified
+    assert sum(rows) == report.queries_total
 
 
 def test_find_basis_deterministic_rerun():

@@ -416,7 +416,8 @@ def assert_one_error_line(code, out, err):
 
 # each value read from outside goes through one reader: ints stay ints, a
 # rational with a zero denominator is a bad value, --constants is a checked
-# JSON object, and --marginal-L below 1 is refused
+# JSON object, --marginal-L below 1 is refused, a --params key needs its
+# value and a graph needs --graph or --family
 @pytest.mark.parametrize(
     "argv",
     [
@@ -428,9 +429,11 @@ def assert_one_error_line(code, out, err):
         ["verify-space", "--n", "4", "--marginal-L", "0"],
         ["verify-space", "--n", "4", "--marginal-L", "-3"],
         ["connectivity", "--family", "cycle", "--params", "length=5", "--marginal-L", "0"],
+        ["gen", "--family", "cycle", "--params", "length"],
+        ["gen"],
     ],
     ids=["float-int", "theta-scalar", "delta-conn", "delta-verify", "delta-sparsify",
-         "L0", "L-3", "L0-conn"],
+         "L0", "L-3", "L0-conn", "param-no-value", "no-graph"],
 )
 def test_bad_flag_values_are_one_error_line(capsys, argv):
     assert_one_error_line(*run_main(capsys, *argv))

@@ -123,6 +123,7 @@ def test_bad_params_rejected():
         ("theta", {}),
         ("theta", {"lengths": [2, 3.5]}),
         ("theta", {"lengths": [2, 0]}),
+        ("custom", {}),
     ):
         with pytest.raises(ValueError, match="parameter|lengths"):
             gen_graph(family, params)
@@ -631,6 +632,17 @@ def test_conditional_bias_flags_oversized_events():
     space = build_kwise(6, 2)
     rep = conditional_bias_check(space, [0], [[1, 2, 3]])
     assert not rep.events[0][1]  # 4 coordinates exceed k = 2
+
+
+def test_conditional_bias_reports_a_violation():
+    # each output bit is the AND of two bits of a 1-wise space, too weak an
+    # order for the claimed 2-wise, 0-defect space: bit 1 follows bit 0
+    space = group_heterogeneous(build_kwise(4, 1), [2, 2], 2, Fraction(0))
+    rep = conditional_bias_check(space, [0], [[1]])
+    assert not rep.ok
+    assert rep.bound == 0
+    assert rep.worst_deviation == Fraction(3, 4)
+    assert rep.events == (((1,), True, Fraction(1), Fraction(1, 4), Fraction(3, 4)),)
 
 
 def test_strength_sweep_exact_space_is_flat_zero():

@@ -887,6 +887,8 @@ def test_text_round_trip():
     assert Graph.from_text(text).to_text() == text
     with pytest.raises(ValueError):
         Graph.from_text("2 2\n1 2\n")
+    with pytest.raises(ValueError, match="empty graph text"):
+        Graph.from_text(" \n\n")
 
 
 def test_json_round_trip_preserves_ids():
@@ -894,6 +896,29 @@ def test_json_round_trip_preserves_ids():
     h = Graph.from_json(g.to_json())
     assert h.edge_ids() == [1, 3, 4]
     assert h.to_json() == g.to_json()
+
+
+def test_from_json_refuses_edge_id_zero():
+    text = json.dumps({"n": 2, "edges": [{"id": 0, "u": 0, "v": 1, "w": "1"}]})
+    with pytest.raises(ValueError, match="edge ids must be >= 1"):
+        Graph.from_json(text)
+
+
+def test_contract_partition_refuses_an_empty_part():
+    with pytest.raises(ValueError, match="empty part"):
+        cycle_graph(4).contract_partition([[0, 1], [], [2, 3]])
+
+
+@pytest.mark.parametrize("vertices", [[0, 4], [-1, 2]])
+def test_induced_subgraph_refuses_an_out_of_range_vertex(vertices):
+    with pytest.raises(ValueError, match="vertex out of range"):
+        cycle_graph(4).induced_subgraph(vertices)
+
+
+@pytest.mark.parametrize("method", ["subdivide", "duplicate_edges"])
+def test_subdivide_and_duplicate_refuse_zero(method):
+    with pytest.raises(ValueError, match="s must be >= 1"):
+        getattr(cycle_graph(4), method)(0)
 
 
 def test_adjacency_sorted_with_multiplicity():

@@ -267,6 +267,25 @@ def test_session_contract_dependent_rejected():
         s.contract({1, 2})
 
 
+def test_session_contract_is_checked_off_the_ledger():
+    # a bridge is a loop of the cographic matroid: contracting it is refused,
+    # and neither the refusal nor a good contraction is billed
+    g = Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    s = OracleSession(g, COGRAPHIC)
+    with pytest.raises(ValueError, match="dependent"):
+        s.contract({4})
+    s.contract({1})
+    with pytest.raises(ValueError, match="dependent"):
+        s.contract({2})  # {1, 2} leaves vertex 1 alone
+    assert s.contracted == {1}
+    assert s.ledger.rounds == []
+
+
+def test_session_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown matroid kind 'bogus'"):
+        OracleSession(Graph(2, [(0, 1)]), "bogus")
+
+
 def test_session_delete_then_access_rejected():
     g = Graph(3, [(0, 1), (1, 2), (2, 0)])
     s = OracleSession(g, GRAPHIC)

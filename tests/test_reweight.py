@@ -122,6 +122,16 @@ def test_reweight_rejects_bad_input():
         reweight_min_cut(Graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(ValueError, match="delta"):
         reweight_min_cut(cycle_graph(3), delta_param=1)
+    for bad in (2.7, "7", True):  # never truncated to Delta = 2 or parsed
+        with pytest.raises(ValueError, match="delta_param must be an int"):
+            reweight_min_cut(cycle_graph(3), delta_param=bad)
+
+
+def test_reweight_delta_param_auto_and_ints_still_work():
+    g = complete_graph(5)
+    assert reweight_min_cut(g, delta_param="auto").delta_param == reweight_min_cut(g).delta_param
+    for delta in (2, 7):
+        assert reweight_min_cut(g, delta_param=delta).delta_param == delta
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,10 @@ scalar per-seed vectors there; all are independent of verify_independence,
 which never builds the support, and of the vectorized row builders.
 """
 
+import copy
 import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from edgewise import gf2, samplespace
+from edgewise.experiments import gen_graph, sparsify_experiment
 from edgewise.gf2 import field
 from edgewise.samplespace import (
     GroupedSpace,
@@ -244,16 +247,79 @@ def test_budget_rejected_at_enumeration_for_exact():
         space.support_words(budget=1 << 10)
 
 
+def almost_grouped_space():
+    return with_marginal(almost_builder, 4, 2, Fraction(1, 8), 2)
+
+
 def test_descriptor_roundtrip():
     for space in [
         build_kwise(6, 3),
         build_almost_kwise(9, 2, Fraction(1, 4)),
+        almost_grouped_space(),
         with_marginal(exact_builder, 3, 2, Fraction(0), 2, complemented=True),
         group_heterogeneous(build_kwise(6, 6), [2, 0, 3, 1], 2, Fraction(0)),
     ]:
-        clone = space_from_descriptor(space.descriptor())
-        assert clone.descriptor_json() == space.descriptor_json()
-        assert dump_support(clone) == dump_support(space)
+        for desc in (space.descriptor(), json.loads(space.descriptor_json())):
+            clone = space_from_descriptor(desc)
+            assert clone.descriptor_json() == space.descriptor_json()
+            assert dump_support(clone) == dump_support(space)
+
+
+def _edited(path, value):
+    """The grouped descriptor with the field at path set to value (None: removed)."""
+    desc = copy.deepcopy(almost_grouped_space().descriptor())
+    *outer, last = path
+    target = desc
+    for key in outer:
+        target = target[key]
+    if value is None:
+        del target[last]
+    else:
+        target[last] = value
+    return desc
+
+
+@pytest.mark.parametrize("path, value, named", [
+    (("k",), None, "no field 'k'"),
+    (("n",), None, "no field 'n'"),
+    (("delta",), None, "no field 'delta'"),
+    (("delta", "den"), None, "no field 'den'"),
+    (("p_log_inv",), None, "no field 'p_log_inv'"),
+    (("underlying", "construction"), None, "no field 'construction'"),
+    (("k",), "2", "field 'k' must be int"),
+    (("k",), 2.0, "field 'k' must be int"),
+    (("n",), True, "field 'n' must be int"),
+    (("delta",), "1/8", "field 'delta' must be dict"),
+    (("delta", "num"), 0.5, "field 'num' must be int"),
+    (("delta", "den"), 0, "field 'den' must not be 0"),
+    (("complemented",), 0, "field 'complemented' must be bool"),
+    (("group_sizes",), 2, "field 'group_sizes' must be list"),
+    (("group_sizes",), [2.0, 2, 2, 2], "field 'group_sizes' must list ints"),
+    (("underlying",), [], "field 'underlying' must be dict"),
+    (("seed_bits",), 12, "field 'seed_bits' is 12"),
+    (("underlying", "seed_bits"), 5, "field 'seed_bits' is 5"),
+    (("p_log_inv",), 3, "field 'p_log_inv' is 3"),
+    (("delta", "num"), 2, "field 'delta' is"),
+    (("extra",), 1, "unknown field 'extra'"),
+    ((3,), 1, "unknown field 3"),
+    (("construction",), "bogus", "unknown construction 'bogus'"),
+])
+def test_descriptor_reader_names_the_bad_field(path, value, named):
+    with pytest.raises(ValueError, match=named):
+        space_from_descriptor(_edited(path, value))
+
+
+def test_descriptor_reader_refuses_a_non_object():
+    with pytest.raises(ValueError, match="no field 'construction'"):
+        space_from_descriptor([])
+
+
+def test_all_ones_row_descriptor_is_not_a_space():
+    # every rate clamped to 1: the report's space is the single all-ones row
+    report = sparsify_experiment(gen_graph("cycle", {"length": 5}), 2, 0.5, 0.25)
+    assert report.spec.space["construction"] == "constant_ones"
+    with pytest.raises(ValueError, match="unknown construction 'constant_ones'"):
+        space_from_descriptor(report.spec.space)
 
 
 def test_rebuild_is_deterministic():
