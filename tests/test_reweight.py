@@ -1,6 +1,7 @@
 """Reweighting tests: clustering contract, recursion invariants, and both
 directions of the cut/leverage correspondence."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -303,3 +304,38 @@ def test_pruning_solves_fewer_diameters_through_the_named_entry_point(monkeypatc
     monkeypatch.setattr(reweight_module, "resistance_diameter", counted)
     assert cluster_low_rdiam(g) == greedy_partition_reference(g, solve=ref_counted)
     assert 0 < len(calls) < len(ref_calls)
+
+
+# sha256 of summary_json() + to_csv() + repr(level_partitions_original),
+# captured before clustering grew each seed's piece incrementally; shapes as
+# in the reweight benchmark
+REWEIGHT_PINS = {
+    "cycle60": (
+        lambda: gen_graph("cycle", {"length": 60}),
+        "065c7a45cd8cdc8b3e8fe098767a79d7f505c0f8efc717613d264adfaa6e76a0",
+    ),
+    "cycle48x2": (
+        lambda: gen_graph("cycle", {"length": 48}).duplicate_edges(2),
+        "d424bfb9fb6b8a479397ee0de536e4f013528b0a57a5e68e6b22bf81acb6b270",
+    ),
+    "complete9": (
+        lambda: gen_graph("complete", {"vertices": 9}),
+        "99a4bdc3f67898d8aa03693ea2c9ed2fc550a375773bb0f88a382f30a7731efb",
+    ),
+    "multi_cycle(6,5)": (
+        lambda: gen_graph("multi_cycle", {"length": 6, "copies": 5}),
+        "22e55d8a5c1d6c3db816f8f77c7d886c9a71138bee230e583dcb9f0fba37cf17",
+    ),
+    "expander48d6#7": (
+        lambda: gen_graph("expander_like", {"vertices": 48, "degree": 6}, seed=7),
+        "2f9190343184857b9e1ce064b8b1f25c1f42353976daddc30c3ea1ae4e74c7ce",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REWEIGHT_PINS))
+def test_reweight_report_bytes_pinned(name):
+    make, digest = REWEIGHT_PINS[name]
+    res = reweight_min_cut(make())
+    blob = res.summary_json() + res.to_csv() + repr(res.level_partitions_original)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from edgewise import spectral as spectral_module
+from edgewise.experiments import gen_graph
 from edgewise.graph import Graph
 from edgewise.spectral import (
     effective_resistance,
@@ -369,6 +370,15 @@ def test_leverage_scores_pinned_on_disconnected_rational_multigraph():
     blob = t.to_csv() + repr(t.component_rdiam)
     assert hashlib.sha256(blob.encode()).hexdigest() == (
         "19b3b9b49aebbea81be5f30ea8ac67b0af0c1a0c184c0f0415e55f5d9c92e297"
+    )
+
+
+def test_leverage_scores_pinned_on_expander():
+    # sha256 of the CSV and component diameters, captured before per-edge
+    # data moved to edge_record() arrays
+    t = leverage_scores(gen_graph("expander_like", {"vertices": 256, "degree": 6}, seed=7))
+    assert hashlib.sha256((t.to_csv() + repr(t.component_rdiam)).encode()).hexdigest() == (
+        "1eeba1d2ef222d935eba4bd29e525bc4f09ee1320496a0b1c7e54528b5f02f15"
     )
 
 
