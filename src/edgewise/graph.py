@@ -292,6 +292,8 @@ class Graph:
         """Vertex lists of the subgraph kept by eids (every edge when None),
         each sorted, ordered by smallest member."""
         uf = self.union_find(eids)
+        if eids is None:
+            self._count = uf.count
         groups: dict[int, list[int]] = defaultdict(list)
         for v in range(self.n):
             groups[uf.find(v)].append(v)

@@ -16,6 +16,7 @@ reruns.  alpha is always measured from what was achieved, never assumed.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -53,38 +54,42 @@ def _grow_partition(g: Graph, R: np.ndarray, A: np.ndarray, rho: float, rdiam) -
     paths, so its induced diameter can far exceed the radius (path carved from
     a cycle).  Only balls whose induced diameter fits under rho compete; the
     least crossing weight wins, ties prefer the larger part (all-singleton
-    covers cross too much), then the smaller radius.  rdiam(sorted tuple)
-    gives a part's induced resistance diameter; crossing weights are exact
-    integer sums over A, g.scaled_adjacency()'s matrix.  Pruning: the radii
-    of one seed are distinct, so keys (crossing, -size, radius) never tie; a
-    ball whose key is not below the best fitting one so far cannot win, so
-    its diameter is never solved and the cover is the unpruned search's.
+    covers cross too much), then the smaller radius.  A seed's balls are
+    nested prefixes of the free vertices by distance, so its piece grows once
+    over the ascending radii, from new ball vertices that touch it; x joining
+    adds deg(x) - 2 link(x) (link: weight to the piece) to the crossing, exact
+    over A = g.scaled_adjacency()[0].  One seed's keys (crossing, -size,
+    radius) never tie: the first in order whose ball fits, by rdiam(sorted
+    tuple), is the unpruned search's part, and no losing ball is solved.
     """
-    adj = g.adjacency()
+    nbrs = [{y for y, _ in nb} for nb in g.adjacency().values()]
+    deg = A.sum(axis=1).tolist()  # A's diagonal is 0: loops are dropped
     free = np.ones(g.n, dtype=bool)
     parts = []
     while free.any():
         v0 = int(np.argmax(free))  # smallest free vertex
-        row = R[v0]
-        best = None  # ((crossing weight, -part size, radius), part)
-        for r in sorted(set(row[free & (row <= rho + _SLACK)].tolist())):  # np.unique imports numpy.ma
-            ball = (free & (row <= r + _SLACK)).tolist()
-            # connected piece of the ball around v0
-            part, stack = {v0}, [v0]
+        row = R[v0].tolist()
+        order = sorted(np.flatnonzero(free).tolist(), key=row.__getitem__)
+        piece, ball = {v0: None}, set()  # ball is order[:len(ball)]; piece in joining order
+        link, cross, keys = A[v0].copy(), deg[v0], []
+        for r in sorted({row[x] for x in order if row[x] <= rho + _SLACK}):
+            new = order[len(ball) : bisect.bisect_right(order, r + _SLACK, key=row.__getitem__)]
+            ball.update(new)
+            stack = [x for x in new if any(y in piece for y in nbrs[x])]
             while stack:
-                for y, _ in adj[stack.pop()]:
-                    if ball[y] and y not in part:
-                        part.add(y)
-                        stack.append(y)
-            idx = sorted(part)
-            key = (A[idx].sum() - A[np.ix_(idx, idx)].sum(), -len(idx), r)
-            if best is not None and key >= best[0]:
-                continue
-            if len(idx) > 1 and rdiam(tuple(idx)) > rho + _SLACK:
-                continue
-            best = (key, tuple(idx))
-        parts.append(best[1])
-        free[list(best[1])] = False
+                z = stack.pop()
+                if z not in piece:
+                    piece[z] = None
+                    cross += deg[z] - 2 * int(link[z])
+                    link += A[z]
+                    stack.extend(y for y in nbrs[z] if y in ball and y not in piece)
+            keys.append((cross, -len(piece), r))
+        for _, neg_size, _ in sorted(keys):
+            part = tuple(sorted(list(piece)[:-neg_size]))
+            if rdiam(part) <= rho + _SLACK:
+                break
+        parts.append(part)
+        free[list(part)] = False
     return parts
 
 
@@ -99,8 +104,11 @@ def cluster_low_rdiam(
     part's induced resistance diameter <= alpha_used * n / w(E).  alpha
     doubles until both hold; the single-part partition satisfies them once
     alpha * n / w(E) reaches the graph's own diameter, so termination only
-    needs enough doublings.
+    needs enough doublings.  alpha must be positive and finite.
     """
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, not {alpha!r}")
+    max_doublings = _as_int(max_doublings, "max_doublings")
     if g.n == 0:
         raise ValueError("empty graph")
     if not g.is_connected():

@@ -131,18 +131,20 @@ def leverage_scores(g: Graph) -> ResistanceTable:
     Enforces the sum rule: leverage scores inside one component add up to the
     component's vertex count minus one.
     """
+    comps = g.components()  # first: it fills the component count _eig reads
     R = resistance_matrix(g)
-    comps = g.components()
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    comp_sum = [0.0] * len(comps)  # summed in edge-id order
-    entries = {}
-    for eid, u, v, w in g.edges():
-        reff = float(R[u, v])
-        lev = float(w) * reff
-        entries[eid] = (u, v, w, reff, lev)
-        comp_sum[comp_of[u]] += lev
+    rec = g.edge_record()
+    u, v = rec.ends.T
+    reff = R[u, v]
+    lev = rec.floats * reff
+    comp_of = np.empty(g.n, dtype=np.intp)
+    for i, comp in enumerate(comps):
+        comp_of[comp] = i
+    comp_sum = np.bincount(comp_of[u], weights=lev, minlength=len(comps))  # in edge-id order
+    rows = zip(u.tolist(), v.tolist(), (w for *_, w in g.edges()), reff.tolist(), lev.tolist())
+    entries = dict(zip(rec.ids.tolist(), rows))
     rdiams = []
-    for comp, got in zip(comps, comp_sum):
+    for comp, got in zip(comps, comp_sum.tolist()):
         rdiams.append(float(R[np.ix_(comp, comp)].max()) if len(comp) > 1 else 0.0)
         want = len(comp) - 1
         if abs(got - want) > LEVERAGE_SUM_TOL:

@@ -96,6 +96,27 @@ def test_cluster_rejects_disconnected():
         cluster_low_rdiam(Graph(4, [(0, 1), (2, 3)]))
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("alpha", -1),
+        ("alpha", 0),
+        ("alpha", 0.0),
+        ("alpha", math.nan),
+        ("alpha", math.inf),
+        ("max_doublings", -1),
+        ("max_doublings", 1.5),
+        ("max_doublings", True),
+        ("max_doublings", "3"),
+    ],
+)
+def test_cluster_rejects_bad_alpha_and_doublings(key, value):
+    # before the checks: a TypeError for alpha -1 or nan, 41 passes and "no
+    # valid clustering" for alpha 0, "within -1 alpha doublings" for -1
+    with pytest.raises(ValueError, match=key):
+        cluster_low_rdiam(cycle_graph(12), **{key: value})
+
+
 def test_auto_delta():
     assert auto_delta(10, 1) == 2
     assert auto_delta(60, 90) == 2 * 60 * math.ceil(math.log(90))
@@ -339,3 +360,28 @@ def test_reweight_report_bytes_pinned(name):
     res = reweight_min_cut(make())
     blob = res.summary_json() + res.to_csv() + repr(res.level_partitions_original)
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gen_graph("expander_like", {"vertices": 48, "degree": 4}), cycle_graph(30)],
+    ids=["expander48d4", "cycle30"],
+)
+def test_solved_balls_become_parts_or_do_not_fit(g, monkeypatch):
+    # balls are tried in key order, so within one pass a solved multi-vertex
+    # ball that fits is the winner; solving in radius order also solved
+    # fitting balls that lost later (1 on expander48d4, 9 on cycle30)
+    solved = []
+    real = reweight_module.resistance_diameter
+
+    def counted(graph, part=None):
+        solved.append((part, real(graph, part)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(reweight_module, "resistance_diameter", counted)
+    alpha = 2.0  # the first alpha both graphs cluster at
+    cp = cluster_low_rdiam(g, alpha=alpha, max_doublings=0)
+    rho = alpha * g.n / float(g.total_weight())
+    assert solved and len(solved) <= 50
+    for part, diam in solved:
+        assert len(part) == 1 or part in cp.parts or diam > rho + 1e-9

@@ -358,6 +358,20 @@ def test_resistance_diameter_subset_validation():
     assert resistance_diameter(Graph(1, [])) == 0.0
 
 
+def test_leverage_scores_builds_one_whole_graph_union_find(monkeypatch):
+    # _eig's component count comes from the cache components() fills
+    whole = []
+    real = Graph.union_find
+
+    def counted(self, eids=None):
+        whole.append(eids is None)
+        return real(self, eids)
+
+    monkeypatch.setattr(Graph, "union_find", counted)
+    leverage_scores(gen_graph("expander_like", {"vertices": 24, "degree": 4}))
+    assert whole.count(True) == 1
+
+
 def test_leverage_scores_pinned_on_disconnected_rational_multigraph():
     # three components (a weighted triangle with a parallel edge, a 1/10^k
     # path, an isolated vertex), edge ids interleaved across components;
