@@ -3,6 +3,7 @@ directions of the cut/leverage correspondence."""
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -111,8 +112,6 @@ def test_cluster_rejects_disconnected():
     ],
 )
 def test_cluster_rejects_bad_alpha_and_doublings(key, value):
-    # before the checks: a TypeError for alpha -1 or nan, 41 passes and "no
-    # valid clustering" for alpha 0, "within -1 alpha doublings" for -1
     with pytest.raises(ValueError, match=key):
         cluster_low_rdiam(cycle_graph(12), **{key: value})
 
@@ -248,6 +247,16 @@ def weighted(g, pool):
     return g.with_weights({eid: pool[i % len(pool)] for i, eid in enumerate(g.edge_ids())})
 
 
+def tree_plus_chords(seed):
+    """Random tree plus n // 8 chords: once parts are taken, balls around a
+    seed often split into pieces that do not touch it."""
+    rng = random.Random(seed)
+    n = rng.randint(12, 30)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 8)]
+    return Graph(n, edges)
+
+
 THIRDS_SEVENTHS = [Fraction(1, 3), Fraction(2, 7)]
 TENTHS = [Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)]
 
@@ -274,6 +283,12 @@ REFERENCE_GRAPHS = {
         gen_graph("expander_like", {"vertices": 24, "degree": 4}), TENTHS + THIRDS_SEVENTHS
     ),
     "cycle9x2/tenths": weighted(cycle_graph(9).duplicate_edges(2), TENTHS),
+    **{f"tree+chords#{seed}": tree_plus_chords(seed) for seed in range(5)},
+    # scaled weights past int64, so crossing weights are Python ints
+    "cycle10+chords/wide": weighted(
+        Graph(10, [(i, (i + 1) % 10) for i in range(10)] + [(0, 5), (2, 7), (3, 8)]),
+        [Fraction(1, 3**10), Fraction(1, 7**9), Fraction(2, 11**8), Fraction(5, 13**7)],
+    ),
 }
 
 
@@ -369,8 +384,8 @@ def test_reweight_report_bytes_pinned(name):
 )
 def test_solved_balls_become_parts_or_do_not_fit(g, monkeypatch):
     # balls are tried in key order, so within one pass a solved multi-vertex
-    # ball that fits is the winner; solving in radius order also solved
-    # fitting balls that lost later (1 on expander48d4, 9 on cycle30)
+    # ball that fits is the winner; a search in radius order would also
+    # solve fitting balls that lose later (1 here on expander48d4, 9 on cycle30)
     solved = []
     real = reweight_module.resistance_diameter
 
