@@ -776,3 +776,116 @@ def test_streamed_connectivity_holds_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+# ---------------------------------------------------------------------------
+# report byte pins
+
+
+def _pin_target(g, family):
+    # the first window target, as the survival benchmark picks them
+    members = [c for c, _, _ in g.enumerate_cuts()] if family == "cut" else g.enumerate_cycles()
+    ell = min(len(c) for c in members)
+    return next(c for c in members if 100 * len(c) <= 101 * ell)
+
+
+def _seventeen_edges():
+    # complete(5) and seven parallel edges beside its ring and two chords
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    return Graph(5, k5 + [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3)])
+
+
+# graph -> (build_kwise orders of the enumerated spaces, the sampled space's
+# order); the first order's support is at least 2^m rows only below 17 edges,
+# the second's is smaller except on multi_cycle(3,2), where it is exactly 2^m
+PIN_GRAPHS = {
+    "cycle(7)": (lambda: gen_graph("cycle", {"length": 7}), (3, 2)),
+    "complete(5)": (lambda: gen_graph("complete", {"vertices": 5}), (3, 2)),
+    "theta(2,3,4)": (lambda: gen_graph("theta", {"lengths": [2, 3, 4]}), (3, 2)),
+    "multi_cycle(3,2)": (lambda: gen_graph("multi_cycle", {"length": 3, "copies": 2}), (3, 2)),
+    "multi_cycle(8,2)": (lambda: gen_graph("multi_cycle", {"length": 8, "copies": 2}), (4, 3)),
+    "complete(5)+7": (lambda: _seventeen_edges(), (3, 2)),
+}
+PIN_EXPERIMENTS = {
+    "connectivity": lambda g, space, **kw: connectivity_experiment(g, space, **kw),
+    "cyclefree": lambda g, space, **kw: cyclefree_experiment(g, space, **kw),
+    "unique_cut": lambda g, space, **kw: unique_cut_survival_experiment(
+        g, _pin_target(g, "cut"), space, **kw),
+    "unique_cycle": lambda g, space, **kw: unique_cycle_survival_experiment(
+        g, _pin_target(g, "cycle"), space, **kw),
+}
+
+
+def _pin_blob(graph, experiment):
+    """to_json of every run of one experiment on one graph, newline-joined:
+    each enumerated space, then sampled runs of fewer and of more than 2^m
+    trials; unique survival adds a 3/4-marginal space, where rivals survive."""
+    make, orders = PIN_GRAPHS[graph]
+    g = make()
+    run = PIN_EXPERIMENTS[experiment]
+    reports = [run(g, build_kwise(g.m, k)) for k in orders]
+    sampled = build_kwise(g.m, orders[0])
+    for trials in ((1 << g.m) // 2, (1 << g.m) + 5):
+        reports.append(run(g, sampled, mode="sample", trials=trials, seed=3))
+    if experiment.startswith("unique") and g.m <= 7:
+        reports.append(run(g, with_marginal(exact_builder, g.m, 2, 0, 2, complemented=True)))
+    return "\n".join(r.to_json() for r in reports)
+
+
+# sha256 of _pin_blob, captured before row verdicts were tabulated per kept pattern
+PIN_DIGESTS = {
+    ('complete(5)', 'connectivity'): "61da857d62936f5ee1af118038b89d5c0c3704e17b90aae10055ff2da6738eed",
+    ('complete(5)', 'cyclefree'): "ba98ebce6dd2d8bb4a38260cdb0bc01a32ec08719f1a03a07d6f2062dfd01706",
+    ('complete(5)', 'unique_cut'): "ab695e9f8319a2f0d07167c596afdbd9a64be35cb90d280568558e144127f8d1",
+    ('complete(5)', 'unique_cycle'): "36363166df21e6ab139bf77f4503a6bf18102bbf4c759b4c1fa9ba8efd2f426b",
+    ('complete(5)+7', 'connectivity'): "48beacb0dc585439bd3380801595ef50c5f05c4155cbf559a57881383460104c",
+    ('complete(5)+7', 'cyclefree'): "8f04d39b02362f2f4284e0400a0087357dd141608fd0f68ef72d27035aa764f5",
+    ('complete(5)+7', 'unique_cut'): "574a0d062c5f62cbbc740c1df851aa588f499271ff85136a0aa1bed4e45c0e30",
+    ('complete(5)+7', 'unique_cycle'): "eae50a668370294b136fed13f8be88b6d1e77fc91c381b4039653248671935ff",
+    ('cycle(7)', 'connectivity'): "5c4ad5b27ef47845aab7080ba8c2d9c46338e1afedb382c6e66969dfbf4572af",
+    ('cycle(7)', 'cyclefree'): "f328ded41ed82b0aa87adeefe4d5dabd327adc12f2f418eeec9148e4cddfedc0",
+    ('cycle(7)', 'unique_cut'): "cfd32917699d419b88a9fd7976a850547137f83825731756b0ad3ef4baa43045",
+    ('cycle(7)', 'unique_cycle'): "96f1fb9e32b23bfde5668636f8c4ad6f6869d91e457abb237dd0e7f91edb069c",
+    ('multi_cycle(3,2)', 'connectivity'): "2a15042fdc842e261fec76edf980dafc5444b688cd870ecbc0430fcfb0c116cc",
+    ('multi_cycle(3,2)', 'cyclefree'): "663cc1e4bb7f7f69b1109de912c6165486937622d3bca99779772d078b77e881",
+    ('multi_cycle(3,2)', 'unique_cut'): "3a6f69a5974190c7ccf22cf9c1cc8d553d1978110ddffb7bd74680ed9c006af9",
+    ('multi_cycle(3,2)', 'unique_cycle'): "7420fb8db5e58b41a00e827381ce6622e77d8d1d958d1c8362b15eabe8d56c66",
+    ('multi_cycle(8,2)', 'connectivity'): "f1af2b93a660187c495ce02ec05c3d165923b713bd4b7921cecca0593d3b3cef",
+    ('multi_cycle(8,2)', 'cyclefree'): "a30641e5da2091764146176f0e3f1597f9716074a94843ee8adefd3ee7c15047",
+    ('multi_cycle(8,2)', 'unique_cut'): "e37c76a0823e4e8ff5511c4303d1e9d5012d6d63d045ce4a35ffbcf516f1b33b",
+    ('multi_cycle(8,2)', 'unique_cycle'): "5bc0974d272e995a45a1d9af60bf59533cbe4e0ceb70e493ce3f551c536ffeb8",
+    ('theta(2,3,4)', 'connectivity'): "45e88d65e5e5e229be61966bee7b2e3c8a56c1fc64d77a2f8ba431a99d6c6fb7",
+    ('theta(2,3,4)', 'cyclefree'): "65fbaa85ea0953133e85dd1ad00282336e578cfea01ccb57e186e8c10f49f9cb",
+    ('theta(2,3,4)', 'unique_cut'): "14a630255f997cc31c6eb3ea7876aa9167b71bac2b42b78d141e1f680e5e3f8a",
+    ('theta(2,3,4)', 'unique_cycle'): "828de53e7181ddb37acbb2a257f965ea8b42a951658ff69381e4a4d80e08a737",
+}
+
+
+@pytest.mark.parametrize("graph,experiment", sorted(itertools.product(PIN_GRAPHS, PIN_EXPERIMENTS)))
+def test_survival_report_bytes_pinned(graph, experiment):
+    blob = _pin_blob(graph, experiment)
+    assert hashlib.sha256(blob.encode()).hexdigest() == PIN_DIGESTS[graph, experiment]
+
+
+# sha256 of the reports' to_json, captured as PIN_DIGESTS: 64 rows over 6
+# edges; sparsify also in sample mode at more rows than patterns
+PIPELINE_PINS = {
+    "sparsify": (
+        lambda g: [
+            sparsify_experiment(g, 2, 0.9, 0.45, rate_scale=3e-3),
+            sparsify_experiment(g, 2, 0.9, 0.45, rate_scale=3e-3, mode="sample", trials=200, seed=5),
+        ],
+        "eef688159d9ff2df0bbc34e9aff4e5622ebc7736285e6c3c036580f622984d29",
+    ),
+    "reweight": (lambda g: [reweight_then_connectivity(g, 2, rate_scale=5e-4)],
+                 "3392eb5d707c521a0e9dc6fbb0e37dc94383ea6bdef27a3ab54460f1bbfa38fb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_PINS))
+def test_pipeline_report_bytes_pinned(name):
+    run, digest = PIPELINE_PINS[name]
+    reports = run(gen_graph("multi_cycle", {"length": 3, "copies": 2}))
+    assert all(r.failure_witnesses for r in reports)
+    blob = "\n".join(r.to_json() for r in reports)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
