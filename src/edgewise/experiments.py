@@ -330,24 +330,48 @@ def _first_kept(edge_sets, pos: Mapping[int, int], vector: int):
 _Run = namedtuple("_Run", "rows successes tallies witnesses")  # summed over blocks
 
 
-def _fold(blocks, order: Sequence[int], verdict, cap: int = 10) -> _Run:
-    """Walk row blocks in order.  verdict(block) returns (ok, tallies, reason):
-    a boolean mask over the block's rows, counts to add up across blocks, and
-    reason(i, vector) explaining the block's failing row i.  The first `cap`
-    failing rows, numbered across all blocks, become witnesses."""
+def _fold(blocks, order: Sequence[int], verdict, walk: int = 0, cap: int = 10) -> _Run:
+    """Walk row blocks in order.  verdict(words) returns (ok, tallies, reason)
+    for any word rows: a boolean array over them, name -> boolean array over
+    them (each tally counts its true rows), and reason(i, vector) explaining
+    failing row i.  The first `cap` failing rows, numbered across all
+    blocks, become witnesses; no block is searched once `cap` are held.
+
+    A row's verdict depends only on its kept pattern, so with m = len(order)
+    in 1..16 and at least 2^m rows to walk (`walk`), verdict runs once on the
+    table of all 2^m patterns (row i keeps the bits of i) and each block is
+    answered by its pattern histogram; otherwise verdict runs on each block.
+    """
+    m = len(order)
+    tabled = 0 < m <= 16 and walk >= 1 << m
+    if tabled:
+        ok, arrays, reason = verdict(np.arange(1 << m, dtype=np.uint64)[:, None])
     rows = successes = 0
     tallies: Counter = Counter()
     witnesses = []
     for block in blocks:
-        ok, counts, reason = verdict(block)
-        successes += int(ok.sum())
-        tallies.update(counts)
-        for i in np.flatnonzero(~ok)[: cap - len(witnesses)].tolist():
-            vec = _row_to_int(block, i)
-            witnesses.append({"row": rows + i, "vector": vec, "kept": _kept_ids(vec, order),
-                              "reason": reason(i, vec)})
+        if tabled:
+            pattern = block[:, 0].astype(np.intp)
+            total = np.bincount(pattern, minlength=1 << m).__matmul__  # histogram . table
+        else:
+            ok, arrays, reason = verdict(block)
+            total = np.count_nonzero
+        successes += int(total(ok))
+        for name, hits in arrays.items():
+            tallies[name] += int(total(hits))
+        if len(witnesses) < cap:
+            failed = np.flatnonzero(~(ok[pattern] if tabled else ok))
+            for i in failed[: cap - len(witnesses)].tolist():
+                vec = _row_to_int(block, i)  # the row's table index when tabled
+                witnesses.append({"row": rows + i, "vector": vec, "kept": _kept_ids(vec, order),
+                                  "reason": reason(vec if tabled else i, vec)})
         rows += block.shape[0]
     return _Run(rows, successes, tallies, tuple(witnesses))
+
+
+def _walked(space, mode: str, trials) -> int:
+    """Rows mode_blocks walks: the support or the trials; 1 without a space."""
+    return 1 if space is None else space.support_size if mode == "enumerate" else trials
 
 
 def _report(
@@ -459,8 +483,8 @@ def _components_kept(g: Graph, order: Sequence[int], space):
         eids = _first_kept((c for c, _, _ in cuts), pos, ~vec)
         return f"cut {sorted(eids)} fully dropped"
 
-    def verdict(block):
-        return g.component_counts(block) == g.component_count(), (), reason
+    def verdict(words):
+        return g.component_counts(words) == g.component_count(), {}, reason
 
     return verdict, floor, cuts
 
@@ -487,7 +511,7 @@ def connectivity_experiment(
     blocks = mode_blocks(space, mode, budget, trials, seed)
     verdict, floor, cuts = _components_kept(g, order, space)
     return _report(
-        g, _fold(blocks, order, verdict),
+        g, _fold(blocks, order, verdict, _walked(space, mode, trials)),
         theorem="kept subgraph preserves components",
         constants=(
             _const("independence_order", _full_order(len(order)), space.params.k),
@@ -527,9 +551,9 @@ def cyclefree_experiment(
     floor = -(-m // 10)  # >= m/10 edges, integer form
     cycles = functools.cache(g.enumerate_cycles)
 
-    def verdict(block):
-        big_enough = _row_popcounts(block) >= floor
-        acyclic = _nullities(g, GRAPHIC, block) == 0
+    def verdict(words):
+        big_enough = _row_popcounts(words) >= floor
+        acyclic = _nullities(g, GRAPHIC, words) == 0
 
         def reason(i: int, vec: int) -> str:
             if acyclic[i]:
@@ -539,10 +563,9 @@ def cyclefree_experiment(
             except ValueError:  # past the cycle enumeration cap
                 return "a cycle survived"
 
-        tallies = {"acyclic": int(acyclic.sum()), "enough_edges": int(big_enough.sum())}
-        return acyclic & big_enough, tallies, reason
+        return acyclic & big_enough, {"acyclic": acyclic, "enough_edges": big_enough}, reason
 
-    run = _fold(blocks, order, verdict)
+    run = _fold(blocks, order, verdict, _walked(space, mode, trials))
     return _report(
         g, run,
         theorem="kept subgraph is cycle-free and not too small",
@@ -596,10 +619,10 @@ def _unique_survival(
     m = len(order)
     pos = {eid: j for j, eid in enumerate(order)}
 
-    def verdict(block):
-        kept_target = _rows_all_set(block, [pos[e] for e in sorted(target)])
-        ok = np.zeros(block.shape[0], dtype=bool)
-        ok[kept_target] = _nullities(g, kind, block[kept_target]) == 1
+    def verdict(words):
+        kept_target = _rows_all_set(words, [pos[e] for e in sorted(target)])
+        ok = np.zeros(words.shape[0], dtype=bool)
+        ok[kept_target] = _nullities(g, kind, words[kept_target]) == 1
 
         def reason(i: int, vec: int) -> str:
             if not kept_target[i]:
@@ -607,9 +630,9 @@ def _unique_survival(
             rival = _first_kept((s for s in members if s != target), pos, vec)
             return f"rival {family} {sorted(rival)} also survived"
 
-        return ok, {"target": int(kept_target.sum())}, reason
+        return ok, {"target": kept_target}, reason
 
-    run = _fold(blocks, order, verdict)
+    run = _fold(blocks, order, verdict, _walked(space, mode, trials))
     log_m = _full_order(m) // 2  # ceil(log2 m)
     if family == "cut":
         k_full, scale, defect, size_key = 2 * math.ceil(_window_end(ell)), 10, 0, "min_cut_size"
@@ -749,18 +772,21 @@ def sparsify_experiment(
     checker = edge_form_checker(g, epsilon)
     wtilde = g.edge_record().floats * np.ldexp(1.0, levels)  # w / 2^-level, exactly
 
+    kept = Counter()  # rows by kept-edge count, in order of first appearance
+
     def verdict(block):
+        kept.update(_row_popcounts(block).tolist())
         ok, lo, hi = checker.batch_verdicts(_unpack_words(block, m) * wtilde[None, :])
 
         def reason(i: int, vec: int) -> str:
             return f"quadratic form ratio [{lo[i]:.4f}, {hi[i]:.4f}] outside 1+-{epsilon}"
 
-        # tallied by kept-edge count, in order of first appearance
-        return ok, Counter(_row_popcounts(block).tolist()), reason
+        return ok, {}, reason
 
+    # block by block: a float verdict may round differently in another batch
     run = _fold(blocks, order, verdict)
-    hist = {str(c): count for c, count in run.tallies.items()}
-    kept_total = sum(c * count for c, count in run.tallies.items())
+    hist = {str(c): count for c, count in kept.items()}
+    kept_total = sum(c * count for c, count in kept.items())
     marginals = [Fraction(1)] * m if space is None else space.coordinate_marginals()
 
     return _report(
@@ -831,7 +857,7 @@ def reweight_then_connectivity(
     )
     verdict, floor, _ = _components_kept(g, order, space)
     return _report(
-        g, _fold(blocks, order, verdict),
+        g, _fold(blocks, order, verdict, _walked(space, mode, trials)),
         theorem="weighted rates keep the graph in one piece",
         constants=(
             _const("oversample_scale", 1.0, rate_scale),
@@ -884,13 +910,14 @@ def conditional_bias_check(
     cond = sorted(set(condition))
     events = [sorted(set(ev)) for ev in events]
 
-    def verdict(block):
+    def verdict(words):
         # success is the condition; each event is tallied jointly with it
-        cond_mask = _rows_all_set(block, cond)
-        joint = [int((_rows_all_set(block, ev) & cond_mask).sum()) for ev in events]
-        return cond_mask, dict(enumerate(joint)), None
+        cond_mask = _rows_all_set(words, cond)
+        joint = {j: _rows_all_set(words, ev) & cond_mask for j, ev in enumerate(events)}
+        return cond_mask, joint, None
 
-    run = _fold(space.support_blocks(budget), (), verdict, cap=0)
+    blocks = space.support_blocks(budget)
+    run = _fold(blocks, range(space.params.n), verdict, space.support_size, cap=0)
     cond_count = run.successes
     pr_cond = Fraction(cond_count, run.rows)
     bound = None

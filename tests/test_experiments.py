@@ -6,6 +6,7 @@ import json
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from edgewise import experiments as experiments_module
@@ -889,3 +890,85 @@ def test_pipeline_report_bytes_pinned(name):
     assert all(r.failure_witnesses for r in reports)
     blob = "\n".join(r.to_json() for r in reports)
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the kept-pattern table
+
+
+@pytest.fixture
+def kernel_words(monkeypatch):
+    """The word rows of every Graph.component_counts call, in call order."""
+    calls = []
+    real = Graph.component_counts
+
+    def recorded(self, words):
+        calls.append(words.copy())
+        return real(self, words)
+
+    monkeypatch.setattr(Graph, "component_counts", recorded)
+    return calls
+
+
+def _is_table(words, m):
+    return words.shape == (1 << m, 1) and (words[:, 0] == np.arange(1 << m)).all()
+
+
+def test_unique_cycle_reads_the_pattern_table(kernel_words):
+    # the survival benchmark's complete(5) cycle space: 2^20 rows, of which
+    # 131,072 keep a triangle; the kernel sees only the table's 2^10
+    # patterns, and of those only the 2^7 that keep the target
+    g = gen_graph("complete", {"vertices": 5})
+    space = build_kwise(g.m, 5)
+    assert space.support_size == 1 << 20
+    r = unique_cycle_survival_experiment(g, [1, 2, 5], space)
+    assert r.trials == 1 << 20 and r.rates["target_survives"] == Fraction(1, 8)
+    assert [len(w) for w in kernel_words] == [1 << 7]
+    target = sum(1 << j for j, eid in enumerate(g.edge_ids()) if eid in (1, 2, 5))
+    patterns = kernel_words[0][:, 0]
+    assert (patterns & target == target).all() and (np.diff(patterns) > 0).all()
+
+
+def test_seventeen_edges_pass_the_whole_support(kernel_words):
+    g = _seventeen_edges()
+    space = build_kwise(g.m, 4)
+    assert space.support_size > 1 << g.m
+    connectivity_experiment(g, space)
+    assert sum(len(w) for w in kernel_words) == space.support_size
+
+
+def test_sixteen_edges_take_the_table_from_2_to_the_16_rows(kernel_words):
+    g = gen_graph("multi_cycle", {"length": 8, "copies": 2})
+    space = build_kwise(g.m, 3)
+    assert space.support_size == 1 << 15
+    connectivity_experiment(g, space)
+    connectivity_experiment(g, space, mode="sample", trials=(1 << 16) - 1, seed=2)
+    connectivity_experiment(g, space, mode="sample", trials=1 << 16, seed=2)
+    assert [len(w) for w in kernel_words] == [1 << 15, (1 << 16) - 1, 1 << 16]
+    assert [_is_table(w, g.m) for w in kernel_words] == [False, False, True]
+
+
+class _Watched(np.ndarray):
+    """A verdict array that counts the failures searches made on it."""
+
+    searches = 0
+
+    def __invert__(self):
+        _Watched.searches += 1
+        return super().__invert__()
+
+
+@pytest.mark.parametrize("walk", [0, 40], ids=["direct", "table"])
+@pytest.mark.parametrize("cap,searched", [(0, 0), (3, 1), (10, 2)])
+def test_fold_stops_searching_once_cap_witnesses_are_held(walk, cap, searched, monkeypatch):
+    # five blocks of 8 failing rows over 3 coordinates
+    monkeypatch.setattr(_Watched, "searches", 0)
+    blocks = [np.arange(8, dtype=np.uint64)[:, None] for _ in range(5)]
+
+    def verdict(words):
+        return np.zeros(len(words), dtype=bool).view(_Watched), {}, lambda i, vec: "failed"
+
+    run = experiments_module._fold(blocks, [1, 2, 3], verdict, walk, cap=cap)
+    assert (run.rows, run.successes) == (40, 0)
+    assert [w["row"] for w in run.witnesses] == list(range(cap))
+    assert _Watched.searches == searched
