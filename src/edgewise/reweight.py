@@ -86,7 +86,7 @@ def _grow_partition(g: Graph, R: np.ndarray, A: np.ndarray, rho: float, rdiam) -
             keys.append((cross, -len(piece), r))
         for _, neg_size, _ in sorted(keys):
             part = tuple(sorted(list(piece)[:-neg_size]))
-            if rdiam(part) <= rho + _SLACK:
+            if len(part) == 1 or rdiam(part) <= rho + _SLACK:  # a vertex has diameter 0
                 break
         parts.append(part)
         free[list(part)] = False
@@ -134,7 +134,7 @@ def cluster_low_rdiam(
         parts = _grow_partition(g, R, A, rho, rdiam)
         inside = sum(A[np.ix_(p, p)].sum() for p in parts)
         crossing = Fraction(int(A.sum() - inside) // 2, scale)
-        max_rdiam = max(rdiam(p) for p in parts)
+        max_rdiam = max((rdiam(p) for p in parts if len(p) > 1), default=0.0)
         if crossing <= w_total / 2 and max_rdiam <= rho + _SLACK:
             return ClusterPartition(
                 parts=tuple(parts),

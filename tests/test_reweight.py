@@ -324,7 +324,8 @@ def test_cluster_equals_reference_on_every_reweight_level(g, monkeypatch):
 
 def test_pruning_solves_fewer_diameters_through_the_named_entry_point(monkeypatch):
     # the bench counts part solves by wrapping resistance_diameter by name: a
-    # bypass reads 0 calls, a lost pruning as many as the unpruned search
+    # bypass reads 0 calls, a lost pruning as many as the unpruned search, and
+    # a one-vertex part, of diameter 0, is not a call (48 of 49 here if it were)
     g = gen_graph("expander_like", {"vertices": 48, "degree": 4})
     calls, ref_calls = [], []
     real = reweight_module.resistance_diameter
@@ -340,6 +341,7 @@ def test_pruning_solves_fewer_diameters_through_the_named_entry_point(monkeypatc
     monkeypatch.setattr(reweight_module, "resistance_diameter", counted)
     assert cluster_low_rdiam(g) == greedy_partition_reference(g, solve=ref_counted)
     assert 0 < len(calls) < len(ref_calls)
+    assert all(len(part) > 1 for part in calls)
 
 
 # sha256 of summary_json() + to_csv() + repr(level_partitions_original),
