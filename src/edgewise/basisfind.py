@@ -210,16 +210,15 @@ def detect_single_circuit(session: OracleSession, elements):
     return frozenset(elems[j] for j in np.flatnonzero(circuits[0])), "unique"
 
 
-def delete_circuits(ground_order, elements, circuits):
-    """Remove the highest-index element of every circuit, simultaneously.
+def delete_circuits(elements, circuits):
+    """Remove the largest element of every circuit, simultaneously.
 
-    Index means position in ground_order.  Distinct circuits may nominate the
-    same element; the nominated set is removed in one shot.  Rank is
-    preserved: processing nominees in descending index order, each one still
-    lies inside its own circuit when removed (any earlier nominee in that
-    circuit would have had a higher index than the circuit's maximum).
+    Distinct circuits may nominate the same element; the nominated set is
+    removed in one shot.  Rank is preserved: processing nominees in
+    descending order, each one still lies inside its own circuit when
+    removed (any earlier nominee in that circuit would have been larger
+    than the circuit's maximum).
     """
-    rank_of = {e: i for i, e in enumerate(ground_order)}
     elements = set(elements)
     doomed = set()
     for circuit in circuits:
@@ -227,8 +226,18 @@ def delete_circuits(ground_order, elements, circuits):
             raise ValueError(f"circuit {sorted(circuit)} is not within the element set")
         if not circuit:
             raise ValueError("empty circuit")
-        doomed.add(max(circuit, key=lambda e: rank_of[e]))
+        doomed.add(max(circuit))
     return elements - doomed
+
+
+def _space_rows(session, k, delta, L, constants, mode, sample_count, seed) -> np.ndarray:
+    """0/1 rows over session.elements() of one space-driven round, from the
+    build_space (k, delta, L) space, joined: a round is fixed before any
+    answer.  Cographic rounds use exact spaces (delta = 0)."""
+    n = len(session.elements())
+    space = build_space(n, k, delta if session.kind == GRAPHIC else 0, L)
+    blocks = mode_blocks(space, mode, constants.enum_budget, sample_count, seed)
+    return _unpack_words(np.concatenate(list(blocks)), n)
 
 
 # -- circuit listing -------------------------------------------------------------
@@ -278,7 +287,6 @@ def _brute_circuits(session, label, elems, cap, window_hi, budget):
 def list_circuits(
     session: OracleSession,
     ell: int,
-    m: int,
     constants: Constants | None = None,
     mode: str = MODE_ENUMERATE,
     sample_count: int = 1024,
@@ -290,6 +298,7 @@ def list_circuits(
     cuts for a cographic one; the threshold and round label follow the kind.
     """
     constants = constants or Constants.desk()
+    m = session.graph.m
     threshold = constants.threshold(m, session.kind)
     label = _LABELS[session.kind][0]
     if ell < 1:
@@ -312,13 +321,10 @@ def list_circuits(
 
     # sampled regime: one round holding a full detection batch per support
     # vector of the window's bounded-independence space
-    delta = constants.list_delta(m) if session.kind == GRAPHIC else 0
-    space = build_space(
-        len(elems), constants.k_list(ell), delta, constants.list_marginal_exp(m, ell, session.kind)
+    sel = _space_rows(
+        session, constants.k_list(ell), constants.list_delta(m),
+        constants.list_marginal_exp(m, ell, session.kind), constants, mode, sample_count, seed,
     )
-    # a round is one matrix, fixed before any answer: the blocks are joined
-    blocks = mode_blocks(space, mode, constants.enum_budget, sample_count, seed)
-    sel = _unpack_words(np.concatenate(list(blocks)), len(elems))
     _, circuits = _detect(session, label, sel)
     size = circuits.sum(axis=1)
     short = circuits[(size >= 1) & (size <= window_hi)]
@@ -334,35 +340,31 @@ def list_circuits(
 
 def find_large_independent_set(
     session: OracleSession,
-    m: int | None = None,
     constants: Constants | None = None,
     mode: str = MODE_ENUMERATE,
     sample_count: int = 1024,
     seed: int = 0,
-    check_precondition: bool = True,
 ) -> set[int]:
     """One-round harvest of a large independent set from a minor with no
-    short circuit: a forest (graphic) or a co-independent set, whose
-    complement spans (cographic)."""
+    circuit within the sweep threshold: a forest (graphic) or a
+    co-independent set, whose complement spans (cographic)."""
     constants = constants or Constants.desk()
+    m = session.graph.m
+    threshold = constants.threshold(m, session.kind)
+    mc = session.min_circuit_size()
+    if mc is not None and mc <= threshold:
+        raise PreconditionError(
+            f"minimum circuit size {mc} is within the sweep threshold "
+            f"{threshold:.2f}; sweep first"
+        )
     elems = session.elements()
-    if m is None:
-        m = len(elems)
-    if check_precondition:
-        threshold = constants.threshold(m, session.kind)
-        mc = session.min_circuit_size()
-        if mc is not None and mc <= threshold:
-            raise PreconditionError(
-                f"minimum circuit size {mc} is within the sweep threshold "
-                f"{threshold:.2f}; sweep first"
-            )
-    delta = constants.flis_delta(m) if session.kind == GRAPHIC else 0
-    space = build_space(len(elems), constants.k_flis(m), delta)
-    blocks = mode_blocks(space, mode, constants.enum_budget, sample_count, seed)
-    # one round of every block; the whole element set rides along as query
-    # zero so an already independent minor is taken in full
-    rows = np.vstack([np.ones((1, len(elems)), dtype=np.uint8),
-                      _unpack_words(np.concatenate(list(blocks)), len(elems))])
+    # the whole element set rides along as query zero, so an already
+    # independent minor is taken in full
+    rows = np.vstack([
+        np.ones((1, len(elems)), dtype=np.uint8),
+        _space_rows(session, constants.k_flis(m), constants.flis_delta(m), 1,
+                    constants, mode, sample_count, seed),
+    ])
     answers = session.run_round(_LABELS[session.kind][1], rows)
     if answers[0]:
         return set(elems)
@@ -420,7 +422,6 @@ class BasisReport:
 
 def find_basis(
     session: OracleSession,
-    m: int | None = None,
     constants: Constants | None = None,
     mode: str = MODE_ENUMERATE,
     sample_count: int = 1024,
@@ -439,11 +440,9 @@ def find_basis(
         raise ValueError("needs a fresh session")
     constants = constants or Constants.desk()
     kind = session.kind
-    if m is None:
-        m = len(session.elements())
-    ground_order = sorted(session.elements())
+    m = session.graph.m
     threshold = constants.threshold(m, kind)
-    full_rank = _rank(session.graph, kind, ground_order)
+    full_rank = session.rank()
 
     trace: list[dict] = []
     outer = 0
@@ -453,10 +452,10 @@ def find_basis(
         ell = 1
         while ell <= threshold and session.elements():
             clist = list_circuits(
-                session, ell, m, constants,
+                session, ell, constants,
                 mode=mode, sample_count=sample_count, seed=seed,
             )
-            kept = delete_circuits(ground_order, session.elements(), clist.circuits)
+            kept = delete_circuits(session.elements(), clist.circuits)
             removed = sorted(set(session.elements()) - kept)
             if removed:
                 session.delete(removed)
@@ -477,7 +476,7 @@ def find_basis(
             trace.append({"outer": outer, "sweep": sweep_steps, "harvested": 0})
             break
         got = find_large_independent_set(
-            session, m, constants,
+            session, constants,
             mode=mode, sample_count=sample_count, seed=seed,
         )
         if not got:

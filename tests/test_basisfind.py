@@ -99,28 +99,28 @@ def test_detect_uses_one_round():
 
 
 def test_delete_circuits_takes_largest_index():
-    out = delete_circuits([1, 2, 3, 4], {1, 2, 3, 4}, [frozenset({1, 2, 3})])
+    out = delete_circuits({1, 2, 3, 4}, [frozenset({1, 2, 3})])
     assert out == {1, 2, 4}
 
 
 def test_delete_circuits_shared_nominee_removed_once():
     circuits = [frozenset({1, 2, 5}), frozenset({3, 4, 5})]
-    out = delete_circuits(range(1, 7), {1, 2, 3, 4, 5, 6}, circuits)
+    out = delete_circuits({1, 2, 3, 4, 5, 6}, circuits)
     assert out == {1, 2, 3, 4, 6}
 
 
 def test_delete_circuits_empty_list_is_identity():
-    assert delete_circuits([1, 2, 3], {1, 2, 3}, []) == {1, 2, 3}
+    assert delete_circuits({1, 2, 3}, []) == {1, 2, 3}
 
 
 def test_delete_circuits_empty_circuit_rejected():
     with pytest.raises(ValueError, match="empty circuit"):
-        delete_circuits([1, 2, 3], {1, 2}, [frozenset({1, 2}), frozenset()])
+        delete_circuits({1, 2}, [frozenset({1, 2}), frozenset()])
 
 
 def test_delete_circuits_foreign_circuit_rejected():
     with pytest.raises(ValueError):
-        delete_circuits([1, 2, 3], {1, 2}, [frozenset({2, 3})])
+        delete_circuits({1, 2}, [frozenset({2, 3})])
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -131,8 +131,8 @@ def test_delete_circuits_preserves_rank(seed):
     if girth is None:
         pytest.skip("forest draw")
     before = s.rank()
-    clist = list_circuits(s, girth, g.m, dataclasses.replace(Constants.desk(), girth_mult=3.0))
-    kept = delete_circuits(sorted(g.edge_ids()), s.elements(), clist.circuits)
+    clist = list_circuits(s, girth, dataclasses.replace(Constants.desk(), girth_mult=3.0))
+    kept = delete_circuits(s.elements(), clist.circuits)
     removed = set(s.elements()) - kept
     if removed:
         s.delete(removed)
@@ -144,7 +144,7 @@ def test_delete_circuits_preserves_rank(seed):
 
 def test_list_cycles_matches_enumeration_on_k4():
     s = OracleSession(K4, GRAPHIC)
-    clist = list_circuits(s, 3, K4.m, dataclasses.replace(Constants.desk(), girth_mult=2.0))
+    clist = list_circuits(s, 3, dataclasses.replace(Constants.desk(), girth_mult=2.0))
     expected = {frozenset(c) for c in K4.enumerate_cycles() if len(c) == 3}
     assert set(clist.circuits) == expected
     assert len(expected) == 4
@@ -155,7 +155,7 @@ def test_list_cycles_theta_window_seven():
     th = theta(3, 4, 5)
     consts = dataclasses.replace(Constants.desk(), girth_mult=2.0)
     s = OracleSession(th, GRAPHIC)
-    clist = list_circuits(s, 7, th.m, consts)
+    clist = list_circuits(s, 7, consts)
     assert clist.size_window == (7, 7)
     assert [sorted(c) for c in clist.circuits] == [[1, 2, 3, 4, 5, 6, 7]]
 
@@ -163,12 +163,12 @@ def test_list_cycles_theta_window_seven():
 def test_list_cycles_theta_below_girth_is_empty():
     th = theta(3, 4, 5)
     consts = dataclasses.replace(Constants.desk(), girth_mult=2.0)
-    assert list_circuits(OracleSession(th, GRAPHIC), 3, th.m, consts).circuits == ()
+    assert list_circuits(OracleSession(th, GRAPHIC), 3, consts).circuits == ()
 
 
 def test_list_cycles_forest_empty():
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-    assert list_circuits(OracleSession(g, GRAPHIC), 1, g.m).circuits == ()
+    assert list_circuits(OracleSession(g, GRAPHIC), 1).circuits == ()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -178,21 +178,21 @@ def test_list_cycles_at_girth_complete(seed):
     if girth is None:
         pytest.skip("forest draw")
     consts = dataclasses.replace(Constants.desk(), girth_mult=3.0)
-    clist = list_circuits(OracleSession(g, GRAPHIC), girth, g.m, consts)
+    clist = list_circuits(OracleSession(g, GRAPHIC), girth, consts)
     expected = {frozenset(c) for c in g.enumerate_cycles() if len(c) == girth}
     assert set(clist.circuits) == expected
 
 
 def test_list_cuts_bridge():
     g = Graph(4, [(0, 1), (1, 2), (1, 2), (2, 3), (2, 3)])
-    clist = list_circuits(OracleSession(g, COGRAPHIC), 1, g.m)
+    clist = list_circuits(OracleSession(g, COGRAPHIC), 1)
     assert [sorted(c) for c in clist.circuits] == [[1]]
 
 
 def test_list_cuts_parallel_pair_between_triangles():
     g = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (0, 3)])
     consts = dataclasses.replace(Constants.desk(), cut_mult=1.0)
-    clist = list_circuits(OracleSession(g, COGRAPHIC), 2, g.m, consts)
+    clist = list_circuits(OracleSession(g, COGRAPHIC), 2, consts)
     assert frozenset({7, 8}) in set(clist.circuits)
     # everything listed really is a 2-cut
     expected = {eids for eids, _, _ in g.enumerate_cuts() if len(eids) == 2}
@@ -201,7 +201,7 @@ def test_list_cuts_parallel_pair_between_triangles():
 
 def test_list_cuts_k4_star_cuts():
     consts = dataclasses.replace(Constants.desk(), cut_mult=2.0)
-    clist = list_circuits(OracleSession(K4, COGRAPHIC), 3, K4.m, consts)
+    clist = list_circuits(OracleSession(K4, COGRAPHIC), 3, consts)
     expected = {eids for eids, _, _ in K4.enumerate_cuts() if len(eids) == 3}
     assert set(clist.circuits) == expected
     assert len(expected) == 4
@@ -210,10 +210,10 @@ def test_list_cuts_k4_star_cuts():
 def test_listing_window_and_kind_validation():
     s = OracleSession(K4, GRAPHIC)
     with pytest.raises(PreconditionError):
-        list_circuits(s, 0, K4.m)
+        list_circuits(s, 0)
     with pytest.raises(PreconditionError):
         # desk threshold is 0.5*log2(6) < 3
-        list_circuits(s, 3, K4.m)
+        list_circuits(s, 3)
 
 
 def test_brute_listing_over_budget_names_its_subset_count():
@@ -223,10 +223,10 @@ def test_brute_listing_over_budget_names_its_subset_count():
     session = OracleSession(g, GRAPHIC)
     consts = dataclasses.replace(Constants.desk(), enum_budget=50)
     with pytest.raises(PreconditionError, match="queries 231 subsets of up to 2 elements") as ei:
-        list_circuits(session, 1, g.m, consts)
+        list_circuits(session, 1, consts)
     assert "budget is 50 (needs a budget of at least 231)" in str(ei.value)
     assert session.ledger.total_rounds == 0
-    assert len(list_circuits(session, 1, g.m, dataclasses.replace(consts, enum_budget=231)).circuits) == 0
+    assert len(list_circuits(session, 1, dataclasses.replace(consts, enum_budget=231)).circuits) == 0
 
 
 def test_listing_sampled_regime_enumerated_cuts():
@@ -236,7 +236,7 @@ def test_listing_sampled_regime_enumerated_cuts():
     consts = dataclasses.replace(
         Constants.desk(), small_ell_cutoff=0, cut_mult=1.0, k_list_mult=1.0, c_cut=0.5
     )
-    clist = list_circuits(OracleSession(g, COGRAPHIC), 2, g.m, consts)
+    clist = list_circuits(OracleSession(g, COGRAPHIC), 2, consts)
     assert clist.mode == "enumerate"
     assert frozenset({7, 8}) in set(clist.circuits)
     real = {eids for eids, _, _ in g.enumerate_cuts() if len(eids) == 2}
@@ -249,9 +249,7 @@ def test_listing_sampled_regime_monte_carlo_cycles():
         list_delta_exp=0.5,
     )
     s = OracleSession(TRIANGLE_PENDANTS, GRAPHIC)
-    clist = list_circuits(
-        s, 3, TRIANGLE_PENDANTS.m, consts, mode="sample", sample_count=300, seed=11
-    )
+    clist = list_circuits(s, 3, consts, mode="sample", sample_count=300, seed=11)
     assert clist.mode == "sample"
     assert set(clist.circuits) == {frozenset({1, 2, 3})}
 
@@ -274,7 +272,7 @@ def _sampled_mode_bytes() -> str:
     ):
         for mode in ("enumerate", "sample"):
             s = OracleSession(g, kind)
-            out.append(list_circuits(s, ell, g.m, consts, mode=mode, sample_count=300, seed=11).to_json())
+            out.append(list_circuits(s, ell, consts, mode=mode, sample_count=300, seed=11).to_json())
             out.append(json.dumps(s.ledger.to_dict(), sort_keys=True))
     g = random_multigraph(2, 6, 14)
     for kind in (GRAPHIC, COGRAPHIC):
@@ -319,6 +317,17 @@ def test_flis_graphic_precondition():
         find_large_independent_set(s, constants=consts)
 
 
+def test_flis_threshold_reads_the_original_ground_set():
+    # a minor of 8 of multi_cycle(8,2)'s 16 edges still holds 2-circuits: the
+    # threshold is 0.5 log2(16) = 2.00 at m = 16 (1.50 at the minor's size)
+    g = gen_graph("multi_cycle", {"length": 8, "copies": 2})
+    session = OracleSession(g, GRAPHIC)
+    session.delete(range(1, 9))
+    with pytest.raises(PreconditionError, match="size 2 is within the sweep threshold 2.00"):
+        find_large_independent_set(session)
+    assert session.ledger.total_rounds == 0
+
+
 def test_flis_cographic_tripled_triangle():
     edges = [(0, 1), (1, 2), (2, 0)] * 3
     g = Graph(3, edges)
@@ -344,15 +353,15 @@ def test_flis_cographic_bridge_precondition():
 def test_round_labels_and_threshold_follow_session_kind(kind, listing, harvest):
     consts = dataclasses.replace(Constants.desk(), girth_mult=2.0, cut_mult=0.1)
     s = OracleSession(K4, kind)
-    list_circuits(s, 1, K4.m, consts)
-    find_large_independent_set(s, constants=consts, check_precondition=False)
+    list_circuits(s, 1, consts)
+    find_large_independent_set(s)
     assert [label for label, _ in s.ledger.rounds] == [listing, harvest]
     # window 3 fits the girth threshold 2 log2(6) but not the cut threshold
     if kind == GRAPHIC:
-        assert list_circuits(s, 3, K4.m, consts).size_window == (3, 3)
+        assert list_circuits(s, 3, consts).size_window == (3, 3)
     else:
         with pytest.raises(PreconditionError):
-            list_circuits(s, 3, K4.m, consts)
+            list_circuits(s, 3, consts)
 
 
 # -- the driver --------------------------------------------------------------------
@@ -463,10 +472,9 @@ def test_sweep_clears_short_circuits():
         g = random_multigraph(seed + 40, 6, 16)
         s = OracleSession(g, GRAPHIC)
         consts = dataclasses.replace(Constants.desk(), girth_mult=3.0)
-        order = sorted(g.edge_ids())
         for ell in (1, 2, 3):
-            clist = list_circuits(s, ell, g.m, consts)
-            kept = delete_circuits(order, s.elements(), clist.circuits)
+            clist = list_circuits(s, ell, consts)
+            kept = delete_circuits(s.elements(), clist.circuits)
             gone = set(s.elements()) - kept
             if gone:
                 s.delete(gone)
