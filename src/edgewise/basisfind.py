@@ -345,24 +345,30 @@ def find_large_independent_set(
     sample_count: int = 1024,
     seed: int = 0,
 ) -> set[int]:
-    """One-round harvest of a large independent set from a minor with no
-    circuit within the sweep threshold: a forest (graphic) or a
+    """One-round harvest at rate 1/2 of a large independent set from a minor
+    with no circuit within the sweep threshold: a forest (graphic) or a
     co-independent set, whose complement spans (cographic)."""
     constants = constants or Constants.desk()
-    m = session.graph.m
-    threshold = constants.threshold(m, session.kind)
+    threshold = constants.threshold(session.graph.m, session.kind)
     mc = session.min_circuit_size()
     if mc is not None and mc <= threshold:
         raise PreconditionError(
             f"minimum circuit size {mc} is within the sweep threshold "
             f"{threshold:.2f}; sweep first"
         )
+    return _harvest(session, 1, constants, mode, sample_count, seed)
+
+
+def _harvest(session, L, constants, mode, sample_count, seed) -> set[int]:
+    """The largest independent row of one round over the harvest space at
+    rate 2^-L, or the empty set."""
+    m = session.graph.m
     elems = session.elements()
     # the whole element set rides along as query zero, so an already
     # independent minor is taken in full
     rows = np.vstack([
         np.ones((1, len(elems)), dtype=np.uint8),
-        _space_rows(session, constants.k_flis(m), constants.flis_delta(m), 1,
+        _space_rows(session, constants.k_flis(m), constants.flis_delta(m), L,
                     constants, mode, sample_count, seed),
     ])
     answers = session.run_round(_LABELS[session.kind][1], rows)
@@ -432,9 +438,10 @@ def find_basis(
     Repeats until no elements remain: sweep the circuit-size window upward
     from 1, deleting one element of every listed circuit, until the minimum
     circuit size clears the threshold; then harvest one independent set and
-    contract it.  Thresholds always use the original ground-set size.  The
-    returned basis is re-verified against the graph directly (independence
-    plus full rank), outside the query ledger.
+    contract it.  An empty harvest runs once more at rate 1/4, a desk
+    deviation the report names.  Thresholds always use the original
+    ground-set size.  The returned basis is re-verified against the graph
+    directly (independence plus full rank), outside the query ledger.
     """
     if session.contracted or session.deleted:
         raise ValueError("needs a fresh session")
@@ -445,7 +452,7 @@ def find_basis(
     full_rank = session.rank()
 
     trace: list[dict] = []
-    outer = 0
+    outer = reruns = 0
     while session.elements():
         outer += 1
         sweep_steps = []
@@ -480,6 +487,10 @@ def find_basis(
             mode=mode, sample_count=sample_count, seed=seed,
         )
         if not got:
+            # a sparse rate-1/2 space can hold no row of at most rank elements
+            reruns += 1
+            got = _harvest(session, 2, constants, mode, sample_count, seed)
+        if not got:
             raise ClaimViolation(
                 "large-independent-set harvest came back empty on a nonempty minor"
             )
@@ -498,6 +509,9 @@ def find_basis(
             f"NON-DERANDOMIZED: sampled {sample_count} support points per space "
             "instead of enumerating"
         )
+    if reruns:
+        dev.append(f"harvest: full-strength one round at rate 1/2, using a rate-1/4 rerun "
+                   f"after {reruns} empty harvest(s)")
     return BasisReport(
         basis=tuple(sorted(basis)),
         rank=len(basis),

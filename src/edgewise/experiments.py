@@ -26,13 +26,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .basisfind import PreconditionError, _deviation_lines, _window_end
-from .graph import Graph, _as_int
+from .graph import Graph
 from .matroid import COGRAPHIC, GRAPHIC, _nullities
 from .reweight import reweight_min_cut
 from .samplespace import (
     _WORD,
     SampleSpace,
     _all_set,
+    _as_int,
     _pack_words,
     _row_popcounts,
     _unpack_words,
@@ -68,14 +69,7 @@ def _require_int(params: Mapping, key: str, low: int, default=None) -> int:
         if default is not None:
             return default
         raise ValueError(f"missing parameter {key!r}")
-    return _at_least(params[key], f"parameter {key!r}", low)
-
-
-def _at_least(x, what: str, low: int) -> int:
-    val = _as_int(x, what)
-    if val < low:
-        raise ValueError(f"{what} must be >= {low}")
-    return val
+    return _as_int(params[key], f"parameter {key!r}", low)
 
 
 def _gen_cycle(params: Mapping, seed: int) -> Graph:
@@ -88,7 +82,7 @@ def _gen_theta(params: Mapping, seed: int) -> Graph:
     lengths = params.get("lengths")
     if not isinstance(lengths, (list, tuple)) or len(lengths) < 2:
         raise ValueError(f"parameter 'lengths' needs >= 2 path lengths, not {lengths!r}")
-    lengths = [_at_least(x, "each of 'lengths'", 1) for x in lengths]
+    lengths = [_as_int(x, "each of 'lengths'", 1) for x in lengths]
     edges = []
     nxt = 2
     for ln in lengths:

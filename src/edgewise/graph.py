@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .samplespace import _WORD, _exact_dtype
+from .samplespace import _WORD, _as_int, _exact_dtype
 
 _CHUNK = 1 << 15  # most rows per component-count block
 _ONE = Fraction(1)
@@ -142,13 +141,6 @@ def _as_fraction(x, what: str) -> Fraction:
     if x < 0:
         raise ValueError(f"{what} must be >= 0, not {x}")
     return x
-
-
-def _as_int(x, what: str) -> int:
-    """x as a Python int >= 0; bools, floats and strings are rejected."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < 0:
-        raise ValueError(f"{what} must be an int >= 0, not {x!r}")
-    return int(x)
 
 
 def _field(obj, key: str, what: str = "edge"):

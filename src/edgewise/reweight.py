@@ -25,7 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import Graph, _as_int
+from .graph import Graph
+from .samplespace import _as_int
 from .spectral import ResistanceTable, leverage_scores, resistance_diameter, resistance_matrix
 
 ALPHA0 = 1.0

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,6 +104,13 @@ class SpaceParams:
     def marginal(self) -> Fraction:
         p = Fraction(1, 1 << self.p_log_inv)
         return 1 - p if self.complemented else p
+
+
+def _as_int(x, what: str, low: int = 0) -> int:
+    """x as a Python int >= low; bools, floats and strings are rejected."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < low:
+        raise ValueError(f"{what} must be an int >= {low}, not {x!r}")
+    return int(x)
 
 
 def _words(n_positions: int) -> int:
@@ -604,9 +612,9 @@ def verify_independence(
     above it.
     """
     params = space.params
-    k_eff = params.k if k_check is None else k_check
-    if k_eff < 1:
-        raise ValueError("k_check must be >= 1")
+    k_eff = params.k if k_check is None else _as_int(k_check, "k_check", 1)
+    if subset_cap is not None:
+        subset_cap = _as_int(subset_cap, "subset_cap", 1)
     space._check_budget(budget)
     size = min(k_eff, params.n)
     total = space.support_size
@@ -704,9 +712,9 @@ def mode_blocks(space: SampleSpace, mode: str, budget: int | None, count, seed: 
     if mode == "enumerate":
         return space.support_blocks(budget)
     if mode == "sample":
-        if not count or count < 1:
+        if not count:
             raise ValueError("sample mode needs trials >= 1")
-        return iter((space.sample_words(count, seed),))
+        return iter((space.sample_words(_as_int(count, "trials", 1), seed),))
     raise ValueError(f"unknown mode {mode!r}")
 
 

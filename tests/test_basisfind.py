@@ -466,6 +466,65 @@ def test_find_basis_sampled_mode_is_labeled():
     certify_forest(g, report.basis)
 
 
+def _bundled_instances():
+    """126 small instances of the bundled families."""
+    for h in range(3, 10):
+        yield "complete", {"vertices": h}, 0
+    for length in range(3, 17):
+        yield "cycle", {"length": length}, 0
+    for length in range(2, 7):
+        for copies in (2, 3, 4, 6, 8):
+            yield "multi_cycle", {"length": length, "copies": copies}, 0
+    for h in range(4, 7):
+        for pieces in (2, 3):
+            yield "subdivided", {"vertices": h, "pieces": pieces}, 0
+    for left in range(3, 7):
+        yield "dumbbell", {"left": left}, 0
+    for n, d in ((8, 4), (10, 4), (10, 6), (12, 4), (8, 6), (6, 6), (16, 4)):
+        for seed in range(10):
+            yield "expander_like", {"vertices": n, "degree": d}, seed
+
+
+def test_find_basis_verifies_on_every_bundled_instance():
+    # sparse cographic minors (cycle(L) has rank 1) can starve the rate-1/2
+    # harvest; its rate-1/4 rerun rescues them and the report says so
+    rescued = []
+    for family, params, seed in _bundled_instances():
+        g = gen_graph(family, params, seed=seed)
+        for kind in (GRAPHIC, COGRAPHIC):
+            report = find_basis(OracleSession(g, kind))
+            assert report.verified, (family, params, seed, kind)
+            (certify_forest if kind == GRAPHIC else certify_cobasis)(g, report.basis)
+            reruns = [d for d in report.deviations if "rate-1/4 rerun" in d]
+            if reruns:
+                assert len(reruns) == 1
+                rescued.append((family, params, kind))
+    assert len(rescued) == 14
+    assert {kind for _, _, kind in rescued} == {COGRAPHIC}
+
+
+def test_starved_harvest_reruns_once_at_quarter_rate():
+    g = gen_graph("cycle", {"length": 6})
+    report = find_basis(OracleSession(g, COGRAPHIC))
+    assert report.verified and report.rank == 1
+    # rate-1/2 round over build_kwise(6, 2), then rate-1/4 over 12 positions, 4-wise
+    harvests = [p["rounds"] for p in report.ledger["phases"] if p["label"] == "flis-cographic"]
+    assert harvests == [[65, 65537]]
+    assert report.deviations[-1] == (
+        "harvest: full-strength one round at rate 1/2, using a rate-1/4 rerun "
+        "after 1 empty harvest(s)"
+    )
+    # the standalone harvest stays one round at rate 1/2, and comes back empty
+    session = OracleSession(g, COGRAPHIC)
+    assert find_large_independent_set(session) == set()
+    assert session.ledger.rounds == [("flis-cographic", 65)]
+
+
+def test_sample_count_is_read_as_an_int():
+    with pytest.raises(ValueError, match="trials must be an int >= 1, not 2.5"):
+        find_basis(OracleSession(K4, GRAPHIC), mode="sample", sample_count=2.5)
+
+
 def test_sweep_clears_short_circuits():
     # after the window at ell is processed, no circuit of size <= ell survives
     for seed in range(5):

@@ -200,11 +200,12 @@ def test_find_basis_constants_override(capsys, tmp_path):
 
 
 def test_find_basis_starved_harvest_exits_distinctly(capsys):
-    # sparse instance: cographic rank 3 of 12 edges, so the half-rate harvest
-    # honestly comes up empty at desk scale
+    # sparse instance: cographic rank 3 of 12 edges, and one seeded draw per
+    # space, so both the half-rate harvest and its quarter-rate rerun come up
+    # empty at desk scale
     code, _, err = run_main(
         capsys, "find-basis", "--family", "subdivided",
-        "--params", "vertices=4,pieces=2", "--kind", "cographic",
+        "--params", "vertices=4,pieces=2", "--kind", "cographic", "--sample", "1",
     )
     assert code == 3
     assert "claim violated" in err
@@ -530,3 +531,13 @@ def test_subprocess_find_basis_deterministic(tmp_path):
     blob = json.loads(a.stdout)
     g = gen_graph("complete", {"vertices": 5})
     assert len(blob["basis"]) == g.m - g.n + 1
+
+
+def test_gen_custom_reads_a_graph_file(capsys, tmp_path):
+    # path=FILE is neither an int nor a float, so the value stays a string
+    g = gen_graph("theta", {"lengths": [2, 3, 4]})
+    path = tmp_path / "theta.txt"
+    path.write_text(g.to_text())
+    code, out, _ = run_main(capsys, "gen", "--family", "custom", "--params", f"path={path}")
+    assert code == 0
+    assert out == g.to_text()

@@ -972,3 +972,20 @@ def test_fold_stops_searching_once_cap_witnesses_are_held(walk, cap, searched, m
     assert (run.rows, run.successes) == (40, 0)
     assert [w["row"] for w in run.witnesses] == list(range(cap))
     assert _Watched.searches == searched
+
+
+def test_gen_graph_names_a_missing_parameter():
+    with pytest.raises(ValueError, match="missing parameter 'length'"):
+        gen_graph("cycle", {})
+
+
+def test_reweight_pipeline_needs_two_vertices():
+    with pytest.raises(PreconditionError, match="at least 2 vertices"):
+        reweight_then_connectivity(Graph(1), 2)
+
+
+@pytest.mark.parametrize("trials", [2.5, "3", True])
+def test_sample_mode_reads_trials_as_an_int(trials):
+    g = gen_graph("cycle", {"length": 5})
+    with pytest.raises(ValueError, match="trials must be an int >= 1"):
+        connectivity_experiment(g, build_kwise(5, 2), mode="sample", trials=trials)

@@ -402,3 +402,15 @@ def test_solved_balls_become_parts_or_do_not_fit(g, monkeypatch):
     assert solved and len(solved) <= 50
     for part, diam in solved:
         assert len(part) == 1 or part in cp.parts or diam > rho + 1e-9
+
+
+def test_clustering_rejects_an_empty_or_weightless_graph():
+    with pytest.raises(ValueError, match="empty graph"):
+        cluster_low_rdiam(Graph(0), 1.0)
+    with pytest.raises(ValueError, match="total weight is zero"):
+        cluster_low_rdiam(Graph(2, [(0, 1, 0)]), 1.0)
+
+
+def test_converse_needs_an_edge():
+    with pytest.raises(ValueError, match="graph has no edges"):
+        verify_converse(Graph(3), {})

@@ -773,3 +773,50 @@ def test_warm_verifier_makes_no_mul_array_calls(monkeypatch):
     assert (again.max_tv, again.worst_subset, again.subsets_tested) == (
         first.max_tv, first.worst_subset, first.subsets_tested,
     )
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"subset_cap": 0}, "subset_cap must be an int >= 1, not 0"),
+        ({"subset_cap": 2.5}, "subset_cap must be an int >= 1, not 2.5"),
+        ({"k_check": 2.5}, "k_check must be an int >= 1, not 2.5"),
+    ],
+)
+def test_verify_independence_reads_counts_as_ints(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        verify_independence(build_kwise(6, 2), **kwargs)
+
+
+@pytest.mark.parametrize("count", [2.5, "3", True, -1])
+def test_mode_blocks_reads_trials_as_an_int(count):
+    with pytest.raises(ValueError, match="trials must be an int >= 1"):
+        mode_blocks(build_kwise(6, 2), "sample", None, count, 0)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"delta": Fraction(1)}, "delta must be in"),
+        ({"delta": Fraction(0), "p_log_inv": 0}, "p_log_inv must be >= 1"),
+    ],
+)
+def test_space_params_reject_out_of_range(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SpaceParams(n=3, k=2, **kwargs)
+
+
+def test_all_set_rejects_a_position_past_the_word_matrix():
+    words = samplespace._pack_words(np.ones((2, 10), dtype=np.uint8))
+    assert not samplespace._all_set(words, [63]).any()  # a clear tail bit
+    with pytest.raises(ValueError, match="coordinate outside the word matrix"):
+        samplespace._all_set(words, [64])
+
+
+def test_field_checks_its_degree():
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        gf2.irreducible_poly(0)
+    with pytest.raises(ValueError, match=f"log tables need degree <= {gf2.TABLE_MAX_DEGREE}"):
+        field(gf2.TABLE_MAX_DEGREE + 1).log_tables()
+    with pytest.raises(ValueError, match="mul_array needs degree <= 31"):
+        field(32).mul_array(np.array([1]), np.array([1]))

@@ -15,6 +15,7 @@ from edgewise import spectral as spectral_module
 from edgewise.experiments import gen_graph
 from edgewise.graph import Graph
 from edgewise.spectral import (
+    edge_form_checker,
     effective_resistance,
     flow_energy,
     laplacian,
@@ -424,3 +425,29 @@ def test_only_spectral_reads_its_private_names():
         "from .graph import _WORD\nfrom .spectral import pseudoinverse\n"
     )
     assert _private_spectral_imports(probe) == [(1, "_eig"), (2, "_pinv")]
+
+
+def test_sparsify_rates_edge_cases():
+    c4 = gen_graph("cycle", {"length": 4})
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        sparsify_rates(c4, leverage_scores(c4), 0, 0.5, 0.25)
+    plan = sparsify_rates(Graph(1), leverage_scores(Graph(1)), 2, 0.5, 0.25)
+    assert (plan.s, plan.rates, plan.flags) == (0.0, {}, ())
+
+
+def test_spectral_approx_check_edge_cases():
+    with pytest.raises(ValueError, match="vertex sets differ"):
+        spectral_approx_check(Graph(3), Graph(4), 0.5)
+    # an edgeless g leaves an empty image: h, edgeless too, matches it
+    report = spectral_approx_check(Graph(3), Graph(3), 0.5)
+    assert (report.ok, report.min_ratio, report.max_ratio) == (True, 1.0, 1.0)
+
+
+def test_edge_form_checker_needs_an_edge():
+    with pytest.raises(ValueError, match="no edges to compare against"):
+        edge_form_checker(Graph(3), 0.5)
+
+
+def test_solve_potentials_needs_one_demand_per_vertex():
+    with pytest.raises(ValueError, match="one entry per vertex"):
+        solve_potentials(gen_graph("cycle", {"length": 4}), [1, -1])
