@@ -361,7 +361,7 @@ def find_large_independent_set(
 
 def _harvest(session, L, constants, mode, sample_count, seed) -> set[int]:
     """The largest independent row of one round over the harvest space at
-    rate 2^-L, or the empty set."""
+    rate 2^-L; empty when no nonempty row is independent."""
     m = session.graph.m
     elems = session.elements()
     # the whole element set rides along as query zero, so an already
@@ -510,8 +510,10 @@ def find_basis(
             "instead of enumerating"
         )
     if reruns:
-        dev.append(f"harvest: full-strength one round at rate 1/2, using a rate-1/4 rerun "
-                   f"after {reruns} empty harvest(s)")
+        dev.append(
+            "harvest: full-strength one round at rate 1/2, using a rate-1/4 rerun "
+            f"after {reruns} empty harvest(s)"
+        )
     return BasisReport(
         basis=tuple(sorted(basis)),
         rank=len(basis),

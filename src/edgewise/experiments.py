@@ -766,7 +766,7 @@ def sparsify_experiment(
     checker = edge_form_checker(g, epsilon)
     wtilde = g.edge_record().floats * np.ldexp(1.0, levels)  # w / 2^-level, exactly
 
-    kept = Counter()  # rows by kept-edge count, in order of first appearance
+    kept = Counter()  # rows by kept-edge count; reports sort its keys as strings
 
     def verdict(block):
         kept.update(_row_popcounts(block).tolist())

@@ -626,6 +626,10 @@ def test_mode_blocks_walk_the_support_or_one_block_of_draws():
         ("enumerate", 1 << 10, None, SupportTooLargeError, "enumeration budget"),
         ("sample", None, None, ValueError, "sample mode needs trials >= 1"),
         ("sample", None, 0, ValueError, "sample mode needs trials >= 1"),
+        ("sample", None, 2.5, ValueError, "trials must be an int >= 1, not 2.5"),
+        ("sample", None, "3", ValueError, "trials must be an int >= 1, not '3'"),
+        ("sample", None, True, ValueError, "trials must be an int >= 1, not True"),
+        ("sample", None, -1, ValueError, "trials must be an int >= 1, not -1"),
         ("shuffle", None, 5, ValueError, "unknown mode 'shuffle'"),
     ],
 )
@@ -786,12 +790,6 @@ def test_warm_verifier_makes_no_mul_array_calls(monkeypatch):
 def test_verify_independence_reads_counts_as_ints(kwargs, message):
     with pytest.raises(ValueError, match=message):
         verify_independence(build_kwise(6, 2), **kwargs)
-
-
-@pytest.mark.parametrize("count", [2.5, "3", True, -1])
-def test_mode_blocks_reads_trials_as_an_int(count):
-    with pytest.raises(ValueError, match="trials must be an int >= 1"):
-        mode_blocks(build_kwise(6, 2), "sample", None, count, 0)
 
 
 @pytest.mark.parametrize(
