@@ -28,7 +28,7 @@ from math import ceil, comb, floor, log2
 import numpy as np
 
 from .matroid import COGRAPHIC, GRAPHIC, OracleSession, _rank
-from .samplespace import DEFAULT_ENUM_BUDGET, _unpack_words, build_space, mode_blocks
+from .samplespace import DEFAULT_ENUM_BUDGET, _mode_count, _unpack_words, build_space, mode_blocks
 
 MODE_ENUMERATE = "enumerate"
 
@@ -292,11 +292,16 @@ def list_circuits(
     sample_count: int = 1024,
     seed: int = 0,
 ) -> CircuitList:
-    """All circuits of the current minor with size in [ell, floor(1.01 ell)].
+    """Circuits of the current minor of size at most floor(1.01 ell), the end
+    of the window [ell, floor(1.01 ell)]: shorter circuits are not dropped,
+    though find_basis's sweep has deleted them all before it lists at ell.
+    The brute regime returns every such circuit, the sampled regime those its
+    support vectors isolate.
 
     Circuits are cycles for a graphic session and minimal fully-surviving
     cuts for a cographic one; the threshold and round label follow the kind.
     """
+    _mode_count(mode, sample_count)
     constants = constants or Constants.desk()
     m = session.graph.m
     threshold = constants.threshold(m, session.kind)
@@ -348,6 +353,7 @@ def find_large_independent_set(
     """One-round harvest at rate 1/2 of a large independent set from a minor
     with no circuit within the sweep threshold: a forest (graphic) or a
     co-independent set, whose complement spans (cographic)."""
+    _mode_count(mode, sample_count)
     constants = constants or Constants.desk()
     threshold = constants.threshold(session.graph.m, session.kind)
     mc = session.min_circuit_size()
@@ -443,6 +449,7 @@ def find_basis(
     ground-set size.  The returned basis is re-verified against the graph
     directly (independence plus full rank), outside the query ledger.
     """
+    _mode_count(mode, sample_count)
     if session.contracted or session.deleted:
         raise ValueError("needs a fresh session")
     constants = constants or Constants.desk()

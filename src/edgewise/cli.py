@@ -30,7 +30,8 @@ from .samplespace import SupportTooLargeError, build_space, dump_blocks, verify_
 
 
 def _parse_params(text):
-    """Comma-separated k=v pairs; ':' makes an int list, e.g. lengths=3:4:5."""
+    """Comma-separated key=value pairs; a value is an int, or ints joined by
+    ':' for an int list, e.g. lengths=3:4:5."""
     out = {}
     if not text:
         return out
@@ -39,17 +40,13 @@ def _parse_params(text):
             raise ValueError(f"expected key=value, got {part!r}")
         key, _, raw = part.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if ":" in raw:
-            out[key] = [int(x) for x in raw.split(":")]
-            continue
         try:
-            out[key] = int(raw)
+            ints = [int(x) for x in raw.split(":")]
         except ValueError:
-            try:
-                out[key] = float(raw)
-            except ValueError:
-                out[key] = raw
+            raise ValueError(
+                f"parameter {key!r} must be an int or ints joined by ':', not {raw.strip()!r}"
+            ) from None
+        out[key] = ints if ":" in raw else ints[0]
     return out
 
 
@@ -213,7 +210,7 @@ def _cmd_verify_space(args):
 def _add_graph_flags(p):
     p.add_argument("--graph", help="graph file (text or JSON)")
     p.add_argument("--family", help="generator family name")
-    p.add_argument("--params", default="", help="k=v,... (':' builds int lists)")
+    p.add_argument("--params", default="", help="k=v,... of ints (':' joins an int list)")
     p.add_argument("--gen-seed", type=int, default=0, help="generator seed")
 
 

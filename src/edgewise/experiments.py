@@ -30,7 +30,6 @@ from .graph import Graph
 from .matroid import COGRAPHIC, GRAPHIC, _nullities
 from .reweight import reweight_min_cut
 from .samplespace import (
-    _WORD,
     SampleSpace,
     _all_set,
     _as_int,
@@ -139,13 +138,6 @@ def _gen_dumbbell(params: Mapping, seed: int) -> Graph:
     return Graph(left + right, edges)
 
 
-def _gen_custom(params: Mapping, seed: int) -> Graph:
-    path = params.get("path")
-    if not path:
-        raise ValueError("missing parameter 'path'")
-    return load_graph(str(path))
-
-
 # generator and the parameter keys it reads, per family
 _FAMILIES = {
     "cycle": (_gen_cycle, ("length",)),
@@ -155,7 +147,6 @@ _FAMILIES = {
     "expander_like": (_gen_expander_like, ("vertices", "degree")),
     "subdivided": (_gen_subdivided, ("vertices", "pieces")),
     "dumbbell": (_gen_dumbbell, ("left", "right")),
-    "custom": (_gen_custom, ("path",)),
 }
 
 
@@ -301,13 +292,6 @@ def _rows_all_set(words: np.ndarray, positions) -> np.ndarray:
     return _all_set(words, positions)
 
 
-def _row_to_int(words: np.ndarray, i: int) -> int:
-    v = 0
-    for j in range(words.shape[1] - 1, -1, -1):
-        v = (v << _WORD) | int(words[i, j])
-    return v
-
-
 def _kept_ids(vector: int, order: Sequence[int]) -> list[int]:
     return [eid for j, eid in enumerate(order) if (vector >> j) & 1]
 
@@ -324,26 +308,29 @@ def _first_kept(edge_sets, pos: Mapping[int, int], vector: int):
 _Run = namedtuple("_Run", "rows successes tallies witnesses")  # summed over blocks
 
 
-def _fold(blocks, order: Sequence[int], verdict, walk: int = 0, cap: int = 10) -> _Run:
+def _fold(blocks, order: Sequence[int], verdict, table: bool = True, cap: int = 10) -> _Run:
     """Walk row blocks in order.  verdict(words) returns (ok, tallies, reason)
     for any word rows: a boolean array over them, name -> boolean array over
     them (each tally counts its true rows), and reason(i, vector) explaining
     failing row i.  The first `cap` failing rows, numbered across all
     blocks, become witnesses; no block is searched once `cap` are held.
 
-    A row's verdict depends only on its kept pattern, so with m = len(order)
-    in 1..16 and at least 2^m rows to walk (`walk`), verdict runs once on the
+    A row's verdict depends only on its kept pattern, so with `table` set,
+    m = len(order) in 1..16 and a first block of at least 2^m rows (a walk of
+    more than one block comes in 2^16-row blocks), verdict runs once on the
     table of all 2^m patterns (row i keeps the bits of i) and each block is
     answered by its pattern histogram; otherwise verdict runs on each block.
     """
     m = len(order)
-    tabled = 0 < m <= 16 and walk >= 1 << m
-    if tabled:
-        ok, arrays, reason = verdict(np.arange(1 << m, dtype=np.uint64)[:, None])
+    tabled = None  # decided by the first block
     rows = successes = 0
     tallies: Counter = Counter()
     witnesses = []
     for block in blocks:
+        if tabled is None:
+            tabled = table and 0 < m <= 16 and block.shape[0] >= 1 << m
+            if tabled:
+                ok, arrays, reason = verdict(np.arange(1 << m, dtype=np.uint64)[:, None])
         if tabled:
             pattern = block[:, 0].astype(np.intp)
             total = np.bincount(pattern, minlength=1 << m).__matmul__  # histogram . table
@@ -356,16 +343,12 @@ def _fold(blocks, order: Sequence[int], verdict, walk: int = 0, cap: int = 10) -
         if len(witnesses) < cap:
             failed = np.flatnonzero(~(ok[pattern] if tabled else ok))
             for i in failed[: cap - len(witnesses)].tolist():
-                vec = _row_to_int(block, i)  # the row's table index when tabled
+                # the row's bits as one int: its table index when tabled
+                vec = int.from_bytes(block[i].astype("<u8").tobytes(), "little")
                 witnesses.append({"row": rows + i, "vector": vec, "kept": _kept_ids(vec, order),
                                   "reason": reason(vec if tabled else i, vec)})
         rows += block.shape[0]
     return _Run(rows, successes, tallies, tuple(witnesses))
-
-
-def _walked(space, mode: str, trials) -> int:
-    """Rows mode_blocks walks: the support or the trials; 1 without a space."""
-    return 1 if space is None else space.support_size if mode == "enumerate" else trials
 
 
 def _report(
@@ -505,7 +488,7 @@ def connectivity_experiment(
     blocks = mode_blocks(space, mode, budget, trials, seed)
     verdict, floor, cuts = _components_kept(g, order, space)
     return _report(
-        g, _fold(blocks, order, verdict, _walked(space, mode, trials)),
+        g, _fold(blocks, order, verdict),
         theorem="kept subgraph preserves components",
         constants=(
             _const("independence_order", _full_order(len(order)), space.params.k),
@@ -559,7 +542,7 @@ def cyclefree_experiment(
 
         return acyclic & big_enough, {"acyclic": acyclic, "enough_edges": big_enough}, reason
 
-    run = _fold(blocks, order, verdict, _walked(space, mode, trials))
+    run = _fold(blocks, order, verdict)
     return _report(
         g, run,
         theorem="kept subgraph is cycle-free and not too small",
@@ -626,7 +609,7 @@ def _unique_survival(
 
         return ok, {"target": kept_target}, reason
 
-    run = _fold(blocks, order, verdict, _walked(space, mode, trials))
+    run = _fold(blocks, order, verdict)
     log_m = _full_order(m) // 2  # ceil(log2 m)
     if family == "cut":
         k_full, scale, defect, size_key = 2 * math.ceil(_window_end(ell)), 10, 0, "min_cut_size"
@@ -778,7 +761,7 @@ def sparsify_experiment(
         return ok, {}, reason
 
     # block by block: a float verdict may round differently in another batch
-    run = _fold(blocks, order, verdict)
+    run = _fold(blocks, order, verdict, table=False)
     hist = {str(c): count for c, count in kept.items()}
     kept_total = sum(c * count for c, count in kept.items())
     marginals = [Fraction(1)] * m if space is None else space.coordinate_marginals()
@@ -851,7 +834,7 @@ def reweight_then_connectivity(
     )
     verdict, floor, _ = _components_kept(g, order, space)
     return _report(
-        g, _fold(blocks, order, verdict, _walked(space, mode, trials)),
+        g, _fold(blocks, order, verdict),
         theorem="weighted rates keep the graph in one piece",
         constants=(
             _const("oversample_scale", 1.0, rate_scale),
@@ -911,7 +894,7 @@ def conditional_bias_check(
         return cond_mask, joint, None
 
     blocks = space.support_blocks(budget)
-    run = _fold(blocks, range(space.params.n), verdict, space.support_size, cap=0)
+    run = _fold(blocks, range(space.params.n), verdict, cap=0)
     cond_count = run.successes
     pr_cond = Fraction(cond_count, run.rows)
     bound = None

@@ -705,17 +705,26 @@ def space_from_descriptor(desc: dict) -> SampleSpace:
     return space
 
 
+def _mode_count(mode: str, count) -> int | None:
+    """The draws a mode takes: None to enumerate the support, else count read
+    as an int >= 1 for "sample"; any other mode is an error."""
+    if mode == "enumerate":
+        return None
+    if mode != "sample":
+        raise ValueError(f"unknown mode {mode!r}")
+    if not count:
+        raise ValueError("sample mode needs trials >= 1")
+    return _as_int(count, "trials", 1)
+
+
 def mode_blocks(space: SampleSpace, mode: str, budget: int | None, count, seed: int):
     """Row blocks to evaluate: the support in seed order ("enumerate") or one
     block of `count` seeded draws ("sample").  The mode, the count and the
     budget are checked here, before any block is built."""
-    if mode == "enumerate":
+    count = _mode_count(mode, count)
+    if count is None:
         return space.support_blocks(budget)
-    if mode == "sample":
-        if not count:
-            raise ValueError("sample mode needs trials >= 1")
-        return iter((space.sample_words(_as_int(count, "trials", 1), seed),))
-    raise ValueError(f"unknown mode {mode!r}")
+    return iter((space.sample_words(count, seed),))
 
 
 def dump_blocks(space: SampleSpace, budget: int | None = None):

@@ -294,17 +294,6 @@ class FormChecker:
 
     _CHUNK = 1 << 14
 
-    def check(self, weights) -> ApproxReport:
-        """weights: mapping edge id -> weight of the subsample (missing = 0)."""
-        row = np.array(
-            [float(weights.get(eid, 0)) for eid in self.edge_order]
-        ).reshape(1, -1)
-        ok, lo, hi = self.batch_verdicts(row)
-        return ApproxReport(
-            ok=bool(ok[0]), min_ratio=float(lo[0]), max_ratio=float(hi[0]),
-            epsilon=self.epsilon,
-        )
-
     def batch_verdicts(self, weight_rows: np.ndarray):
         """Vectorized verdicts for many subsamples at once.
 

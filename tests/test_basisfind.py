@@ -216,6 +216,35 @@ def test_listing_window_and_kind_validation():
         list_circuits(s, 3)
 
 
+def test_listing_returns_circuits_shorter_than_the_window():
+    # the window is [3, 3], yet the three parallel pairs come back beside
+    # the eight triangles: every circuit up to the window's end is listed
+    g = gen_graph("multi_cycle", {"length": 3, "copies": 2})
+    consts = dataclasses.replace(Constants.desk(), girth_mult=3.0)
+    clist = list_circuits(OracleSession(g, GRAPHIC), 3, consts)
+    assert clist.size_window == (3, 3)
+    assert sorted(len(c) for c in clist.circuits) == [2] * 3 + [3] * 8
+    assert set(clist.circuits) == set(g.enumerate_cycles())
+
+
+@pytest.mark.parametrize(
+    "call,kwargs,message",
+    [
+        (find_basis, {"mode": "sample", "sample_count": 2.5}, "trials must be an int >= 1"),
+        (find_basis, {"mode": "bogus"}, "unknown mode 'bogus'"),
+        (lambda s, **kw: list_circuits(s, 1, **kw), {"mode": "bogus"}, "unknown mode 'bogus'"),
+        (find_large_independent_set, {"mode": "bogus"}, "unknown mode 'bogus'"),
+        (find_large_independent_set, {"mode": "sample", "sample_count": 0}, "trials >= 1"),
+    ],
+    ids=["basis-count", "basis-mode", "listing-mode", "harvest-mode", "harvest-count"],
+)
+def test_bad_mode_or_count_is_refused_before_any_round(call, kwargs, message):
+    s = OracleSession(K4, GRAPHIC)
+    with pytest.raises(ValueError, match=message):
+        call(s, **kwargs)
+    assert s.ledger.rounds == []
+
+
 def test_brute_listing_over_budget_names_its_subset_count():
     # window [1, 1] on complete(7) queries every subset of up to 2 of its 21
     # edges: 21 + 210 = 231 queries, refused before any round is run

@@ -533,11 +533,22 @@ def test_subprocess_find_basis_deterministic(tmp_path):
     assert len(blob["basis"]) == g.m - g.n + 1
 
 
-def test_gen_custom_reads_a_graph_file(capsys, tmp_path):
-    # path=FILE is neither an int nor a float, so the value stays a string
+def test_gen_graph_reads_a_graph_file(capsys, tmp_path):
     g = gen_graph("theta", {"lengths": [2, 3, 4]})
     path = tmp_path / "theta.txt"
     path.write_text(g.to_text())
-    code, out, _ = run_main(capsys, "gen", "--family", "custom", "--params", f"path={path}")
+    code, out, _ = run_main(capsys, "gen", "--graph", str(path))
     assert code == 0
     assert out == g.to_text()
+
+
+# a --params value is an int or ints joined by ':'; nothing else is read
+@pytest.mark.parametrize(
+    "params,key",
+    [("length=4.7", "length"), ("lengths=3:x", "lengths"), ("length=", "length"),
+     ("path=graphs/a:b.txt", "path")],
+)
+def test_params_value_that_is_no_int_names_its_key(capsys, params, key):
+    code, out, err = run_main(capsys, "gen", "--family", "cycle", "--params", params)
+    assert_one_error_line(code, out, err)
+    assert f"parameter {key!r} must be an int or ints joined by ':'" in err

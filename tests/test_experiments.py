@@ -124,10 +124,12 @@ def test_bad_params_rejected():
         ("theta", {}),
         ("theta", {"lengths": [2, 3.5]}),
         ("theta", {"lengths": [2, 0]}),
-        ("custom", {}),
     ):
         with pytest.raises(ValueError, match="parameter|lengths"):
             gen_graph(family, params)
+    # graph files are read by load_graph (the CLI's --graph), not a family
+    with pytest.raises(ValueError, match="unknown family 'custom'"):
+        gen_graph("custom", {})
 
 
 def test_expander_like_odd_degree_adds_a_matching():
@@ -154,11 +156,11 @@ def test_unread_param_keys_rejected():
         gen_graph("dumbbell", {"left": 3, "length": 2})
 
 
-def test_custom_family_round_trip(tmp_path):
+def test_load_graph_reads_text(tmp_path):
     g = gen_graph("theta", {"lengths": [2, 2, 3]})
     p = tmp_path / "g.txt"
     p.write_text(g.to_text())
-    h = gen_graph("custom", {"path": str(p)})
+    h = load_graph(str(p))
     assert h.to_text() == g.to_text()
 
 
@@ -538,15 +540,15 @@ def test_form_checker_agrees_with_direct_spectral_check():
     checker = edge_form_checker(g, 0.5)
     order = list(checker.edge_order)
     for bits in itertools.product((0, 1), repeat=g.m):
-        weights = {order[i]: 2.0 * bits[i] for i in range(g.m)}
-        fast = checker.check(weights)
+        # one weight row over checker.edge_order
+        (ok,), (lo,), (hi,) = checker.batch_verdicts(2.0 * np.array([bits], dtype=float))
         kept = [order[i] for i in range(g.m) if bits[i]]
         slow = spectral_approx_check(
             g, g.keep_edges(kept).with_weights({e: Fraction(2) for e in kept}), 0.5
         )
-        assert fast.ok == slow.ok
-        assert fast.min_ratio == pytest.approx(slow.min_ratio, abs=1e-9)
-        assert fast.max_ratio == pytest.approx(slow.max_ratio, abs=1e-9)
+        assert ok == slow.ok
+        assert lo == pytest.approx(slow.min_ratio, abs=1e-9)
+        assert hi == pytest.approx(slow.max_ratio, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -946,6 +948,13 @@ def test_sixteen_edges_take_the_table_from_2_to_the_16_rows(kernel_words):
     connectivity_experiment(g, space, mode="sample", trials=1 << 16, seed=2)
     assert [len(w) for w in kernel_words] == [1 << 15, (1 << 16) - 1, 1 << 16]
     assert [_is_table(w, g.m) for w in kernel_words] == [False, False, True]
+    # an enumerated support of 16 blocks: the first holds exactly 2^16 rows
+    kernel_words.clear()
+    space = build_kwise(g.m, 4)
+    assert space.support_size == 1 << 20
+    assert [len(b) for b in space.support_blocks()] == [1 << 16] * 16
+    connectivity_experiment(g, space)
+    assert len(kernel_words) == 1 and _is_table(kernel_words[0], g.m)
 
 
 class _Watched(np.ndarray):
@@ -958,9 +967,9 @@ class _Watched(np.ndarray):
         return super().__invert__()
 
 
-@pytest.mark.parametrize("walk", [0, 40], ids=["direct", "table"])
+@pytest.mark.parametrize("table", [False, True], ids=["direct", "table"])
 @pytest.mark.parametrize("cap,searched", [(0, 0), (3, 1), (10, 2)])
-def test_fold_stops_searching_once_cap_witnesses_are_held(walk, cap, searched, monkeypatch):
+def test_fold_stops_searching_once_cap_witnesses_are_held(table, cap, searched, monkeypatch):
     # five blocks of 8 failing rows over 3 coordinates
     monkeypatch.setattr(_Watched, "searches", 0)
     blocks = [np.arange(8, dtype=np.uint64)[:, None] for _ in range(5)]
@@ -968,7 +977,7 @@ def test_fold_stops_searching_once_cap_witnesses_are_held(walk, cap, searched, m
     def verdict(words):
         return np.zeros(len(words), dtype=bool).view(_Watched), {}, lambda i, vec: "failed"
 
-    run = experiments_module._fold(blocks, [1, 2, 3], verdict, walk, cap=cap)
+    run = experiments_module._fold(blocks, [1, 2, 3], verdict, table, cap=cap)
     assert (run.rows, run.successes) == (40, 0)
     assert [w["row"] for w in run.witnesses] == list(range(cap))
     assert _Watched.searches == searched
