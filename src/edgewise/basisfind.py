@@ -243,20 +243,10 @@ def _space_rows(session, k, delta, L, constants, mode, sample_count, seed) -> np
 # -- circuit listing -------------------------------------------------------------
 
 
-def _lex_rank(combos: np.ndarray, n: int) -> np.ndarray:
-    """Index of each row of combos in itertools.combinations(range(n), s) order."""
-    s = combos.shape[1]
-    rank = np.full(len(combos), comb(n, s) - 1, dtype=np.int64)
-    for i in range(s):
-        table = np.array([comb(a, s - i) for a in range(n)], dtype=np.int64)
-        rank -= table[n - 1 - combos[:, i]]
-    return rank
-
-
 def _brute_circuits(session, label, elems, cap, window_hi, budget):
     """Query every subset of up to cap elements; the circuits are the
-    dependent ones up to window_hi whose every one-smaller subset is
-    independent.  Returns (circuits, queries)."""
+    dependent ones up to window_hi that hold no smaller circuit.  Returns
+    (circuits, queries)."""
     n = len(elems)
     total = sum(comb(n, s) for s in range(1, cap + 1))
     if total > budget:
@@ -273,15 +263,14 @@ def _brute_circuits(session, label, elems, cap, window_hi, budget):
     for c, lo in zip(combos, first):
         rows[lo + np.arange(len(c))[:, None], c] = 1
     answers = session.run_round(label, rows)
-    independent = [np.ones(1, dtype=bool)]  # the empty set
-    found = []
-    for s, c in enumerate(combos[:window_hi], start=1):
-        independent.append(answers[first[s - 1] : first[s]])
-        minimal = ~independent[s]
-        for b in range(s):
-            minimal &= independent[s - 1][_lex_rank(np.delete(c, b, axis=1), n)]
-        found.extend(frozenset(elems[j] for j in row) for row in c[minimal])
-    return found, total
+    sets = rows.view(bool)
+    circuits = sets[:0]
+    # size by size, every smaller circuit is already read: a dependent set
+    # is a circuit exactly when each of them has an element outside it
+    for lo, hi in zip(first[:window_hi], first[1 : window_hi + 1]):
+        dependent = sets[lo:hi][~answers[lo:hi]]
+        circuits = np.vstack([circuits, dependent[(circuits @ ~dependent.T).all(axis=0)]])
+    return [frozenset(elems[j] for j in np.flatnonzero(row)) for row in circuits], total
 
 
 def list_circuits(

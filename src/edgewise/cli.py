@@ -51,11 +51,15 @@ def _parse_params(text):
 
 
 def _graph_from_args(args):
-    if getattr(args, "graph", None):
+    family = [f for f, v in (("--family", args.family), ("--params", args.params),
+                             ("--gen-seed", args.gen_seed)) if v is not None]
+    if args.graph and family:
+        raise ValueError(f"--graph FILE names the graph; {', '.join(family)} cannot go with it")
+    if args.graph:
         return load_graph(args.graph), f"file:{args.graph}"
-    if getattr(args, "family", None):
+    if args.family:
         params = _parse_params(args.params)
-        seed = getattr(args, "gen_seed", 0)
+        seed = args.gen_seed or 0
         return gen_graph(args.family, params, seed=seed), instance_label(
             args.family, params, seed
         )
@@ -146,7 +150,6 @@ _PIPELINE_KNOBS = (
     # a rate such as 1/4 or 0.25
     ("delta", (int, float, str), lambda x: float(_as_fraction(x, "delta")), 0.25),
     ("rate_scale", (int, float), float, 1.0),
-    ("max_level", (int,), int, 20),
 )
 
 
@@ -210,8 +213,8 @@ def _cmd_verify_space(args):
 def _add_graph_flags(p):
     p.add_argument("--graph", help="graph file (text or JSON)")
     p.add_argument("--family", help="generator family name")
-    p.add_argument("--params", default="", help="k=v,... of ints (':' joins an int list)")
-    p.add_argument("--gen-seed", type=int, default=0, help="generator seed")
+    p.add_argument("--params", help="k=v,... of ints (':' joins an int list)")
+    p.add_argument("--gen-seed", type=int, help="generator seed (default 0)")
 
 
 def _add_space_flags(p):
@@ -263,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", default=None, help="failure budget, e.g. 0.25")
         p.add_argument("--epsilon", type=float, default=None)
         p.add_argument("--rate-scale", type=float, default=None, dest="rate_scale")
-        p.add_argument("--max-level", type=int, default=None, dest="max_level")
         p.add_argument("--constants", default=None,
                        help="JSON file of default knobs; explicit flags win")
         p.set_defaults(fn=_cmd_pipeline, pipeline=pipeline)

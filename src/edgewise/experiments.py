@@ -676,8 +676,8 @@ def unique_cycle_survival_experiment(
 # -- sparsification pipeline ----------------------------------------------------
 
 
-def _dyadic_floor(p: Fraction, max_level: int) -> int:
-    """Level L with 2^-L <= p, smallest such (round the rate down)."""
+def _dyadic_floor(p: Fraction) -> int:
+    """Level L <= 20 with 2^-L <= p, smallest such (round the rate down)."""
     if p >= 1:
         return 0
     level = 0
@@ -685,16 +685,15 @@ def _dyadic_floor(p: Fraction, max_level: int) -> int:
     while bound > p:
         level += 1
         bound /= 2
-        if level > max_level:
+        if level > 20:
             raise ValueError(
-                f"marginal quantization infeasible: rate {float(p):.3g} needs "
-                f"level > {max_level}"
+                f"marginal quantization infeasible: rate {float(p):.3g} needs level > 20"
             )
     return level
 
 
-def _rate_space(rates: Mapping, order: Sequence[int], k: int, max_level: int,
-                mode: str, trials, seed: int, budget):
+def _rate_space(rates: Mapping, order: Sequence[int], k: int, mode: str, trials, seed: int,
+                budget):
     """(levels, space, blocks, descriptor) for per-edge keep rates.
 
     Each rate is rounded down to 2^-level, and the space is an exact k-wise
@@ -703,7 +702,7 @@ def _rate_space(rates: Mapping, order: Sequence[int], k: int, max_level: int,
     single all-ones row.
     """
     m = len(order)
-    levels = [_dyadic_floor(Fraction(rates[eid]), max_level) for eid in order]
+    levels = [_dyadic_floor(Fraction(rates[eid])) for eid in order]
     if sum(levels) == 0:
         descriptor = {"construction": "constant_ones", "n": m, "seed_bits": 0}
         return levels, None, iter((_pack_words(np.ones((1, m), dtype=np.uint8)),)), descriptor
@@ -719,7 +718,6 @@ def sparsify_experiment(
     delta: float,
     *,
     rate_scale: float = 1.0,
-    max_level: int = 20,
     mode: str = "enumerate",
     trials: int | None = None,
     seed: int = 0,
@@ -742,7 +740,7 @@ def sparsify_experiment(
     table = leverage_scores(g)
     plan = sparsify_rates(g, table, k, epsilon, delta, rate_scale)
     levels, space, blocks, descriptor = _rate_space(
-        plan.rates, order, k, max_level, mode, trials, seed, budget
+        plan.rates, order, k, mode, trials, seed, budget
     )
     rounded = {eid: Fraction(1, 1 << lv) for eid, lv in zip(order, levels)}
 
@@ -802,7 +800,6 @@ def reweight_then_connectivity(
     epsilon: float = 0.5,
     delta: float = 0.25,
     rate_scale: float = 1.0,
-    max_level: int = 20,
     mode: str = "enumerate",
     trials: int | None = None,
     seed: int = 0,
@@ -830,7 +827,7 @@ def reweight_then_connectivity(
 
     order = g.edge_ids()
     levels, space, blocks, descriptor = _rate_space(
-        plan.rates, order, k, max_level, mode, trials, seed, budget
+        plan.rates, order, k, mode, trials, seed, budget
     )
     verdict, floor, _ = _components_kept(g, order, space)
     return _report(

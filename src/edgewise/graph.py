@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .samplespace import _WORD, _as_int, _exact_dtype
+from .samplespace import _WORD, _as_int, _descriptor_field, _exact_dtype
 
 _CHUNK = 1 << 15  # most rows per component-count block
 _ONE = Fraction(1)
@@ -141,14 +141,6 @@ def _as_fraction(x, what: str) -> Fraction:
     if x < 0:
         raise ValueError(f"{what} must be >= 0, not {x}")
     return x
-
-
-def _field(obj, key: str, what: str = "edge"):
-    """obj[key] of a JSON object; ValueError naming the key when obj is not
-    an object or lacks it."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise ValueError(f"{what} JSON must be an object with field {key!r}")
-    return obj[key]
 
 
 def _checked(n: int, items):
@@ -667,13 +659,12 @@ class Graph:
     @classmethod
     def from_json(cls, text: str) -> "Graph":
         payload = json.loads(text)
-        n = _as_int(_field(payload, "n", "graph"), "n")
-        items = _field(payload, "edges", "graph")
-        if not isinstance(items, list):
-            raise ValueError("graph JSON field 'edges' must be a list")
-        edges = sorted(_checked(n, (
-            (_field(e, "id"), (_field(e, "u"), _field(e, "v"), _field(e, "w"))) for e in items
-        )))
+        n = _as_int(_descriptor_field(payload, "n", subject="graph JSON"), "n")
+        items = (
+            [_descriptor_field(e, key, subject="edge JSON") for key in ("id", "u", "v", "w")]
+            for e in _descriptor_field(payload, "edges", list, "graph JSON")
+        )
+        edges = sorted(_checked(n, ((eid, ends) for eid, *ends in items)))
         if len({e[0] for e in edges}) < len(edges):
             raise ValueError("duplicate edge ids")
         return cls._trusted(n, edges)

@@ -507,15 +507,11 @@ def exact_builder(n: int, k: int, delta) -> PolynomialSpace:
     return build_kwise(n, k)
 
 
-# with_marginal's builder over the small-bias construction
-almost_builder = build_almost_kwise
-
-
 def build_space(n: int, k: int, delta, L: int = 1) -> SampleSpace:
     """The space a (k, delta, L) choice names: exactly k-wise when delta is
     0, else delta-almost k-wise, with each bit the AND of L such bits when
     L > 1 (marginal 2^-L).  L < 1 is a ValueError, as in with_marginal."""
-    builder = exact_builder if delta == 0 else almost_builder
+    builder = exact_builder if delta == 0 else build_almost_kwise
     return builder(n, k, delta) if L == 1 else with_marginal(builder, n, k, delta, L)
 
 
@@ -565,24 +561,21 @@ def _linear_counts(table: np.ndarray, block: int, subsets: np.ndarray) -> np.nda
     step = max(1, _BATCH_BYTES // ((1 << s) * blocks * width * table.itemsize))
     for lo in range(0, rows, step):
         part = subsets[lo : lo + step]
-        xor = np.empty((part.shape[0], 1 << s, blocks, width), dtype=table.dtype)
-        xor[:, 0] = 0
-        for j in range(s):
-            h = 1 << j
-            np.bitwise_xor(xor[:, :h], table[part[:, j]][:, None], out=xor[:, h : 2 * h])
-        zero = (xor == 0).all(axis=3).sum(axis=2)
+        xor = np.empty((len(part), 1 << s, blocks * width), dtype=table.dtype)
+        _span_into(xor, table[part].reshape(len(part), s, blocks * width))
+        zero = (xor.reshape(len(part), 1 << s, blocks, width) == 0).all(axis=3).sum(axis=2)
         bias = zero.astype(dtype) * block
         out[lo : lo + step] = _walsh_hadamard(bias) // (1 << s)
     return out
 
 
 def _subset_iter(n: int, size: int, cap: int | None):
+    """Size-subsets of range(n) in combinations order, stride-sampled to at most cap."""
     total = comb(n, size)
     combos = itertools.combinations(range(n), size)
     if cap is None or total <= cap:
-        return combos, total
-    stride = -(-total // cap)
-    return itertools.islice(combos, 0, None, stride), -(-total // stride)
+        return combos
+    return itertools.islice(combos, 0, None, -(-total // cap))
 
 
 def verify_independence(
@@ -631,7 +624,7 @@ def verify_independence(
     best = 0
     worst: tuple[int, ...] = ()
     tested = 0
-    combos, _ = _subset_iter(params.n, size, subset_cap)
+    combos = _subset_iter(params.n, size, subset_cap)
     while batch := list(itertools.islice(combos, _SUBSET_BATCH)):
         subsets = np.array(batch, dtype=np.intp).reshape(len(batch), size)
         ref = np.full((len(batch), 1), scale // den**size, dtype=dtype)
@@ -650,14 +643,14 @@ def verify_independence(
     )
 
 
-def _descriptor_field(desc, name: str, kind: type):
+def _descriptor_field(desc, name: str, kind: type = object, subject: str = "space descriptor"):
     """desc[name], a JSON value of the given kind (a bool is never an int);
-    ValueError naming the field when it is missing or of another kind."""
+    ValueError naming subject and field when it is missing or of another kind."""
     if not isinstance(desc, dict) or name not in desc:
-        raise ValueError(f"space descriptor has no field {name!r}")
+        raise ValueError(f"{subject} has no field {name!r}")
     value = desc[name]
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"space descriptor field {name!r} must be {kind.__name__}, not {value!r}")
+        raise ValueError(f"{subject} field {name!r} must be {kind.__name__}, not {value!r}")
     return value
 
 

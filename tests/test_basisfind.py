@@ -11,6 +11,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -29,6 +30,7 @@ from edgewise.basisfind import (
 from edgewise.experiments import gen_graph
 from edgewise.graph import Graph
 from edgewise.matroid import COGRAPHIC, GRAPHIC, OracleSession, ind_cographic, ind_graphic
+from oracles import brute_force_ranks
 
 
 def theta(a: int, b: int, c: int) -> Graph:
@@ -256,6 +258,41 @@ def test_brute_listing_over_budget_names_its_subset_count():
     assert "budget is 50 (needs a budget of at least 231)" in str(ei.value)
     assert session.ledger.total_rounds == 0
     assert len(list_circuits(session, 1, dataclasses.replace(consts, enum_budget=231)).circuits) == 0
+
+
+def minor_circuits(g, kind, contracted, deleted, ell):
+    """Every circuit of at most ell elements of g's minor with `contracted`
+    contracted and `deleted` deleted, from exhaustive ranks: by size, then in
+    itertools.combinations order over the remaining ids."""
+    ranks = brute_force_ranks(g, kind, given=frozenset(contracted))
+    elems = [e for e in g.edge_ids() if e not in contracted | deleted]
+    return [
+        frozenset(c)
+        for size in range(1, ell + 1)
+        for c in combinations(elems, size)
+        if ranks[frozenset(c)] < size and all(ranks[frozenset(c) - {e}] == size - 1 for e in c)
+    ]
+
+
+@pytest.mark.parametrize("kind", [GRAPHIC, COGRAPHIC])
+@pytest.mark.parametrize("seed", range(8))
+def test_brute_listing_on_a_minor_matches_exhaustive_ranks_in_order(seed, kind):
+    g = random_multigraph(seed + 60, 5, 9)
+    singles = brute_force_ranks(g, kind)
+    contracted = next(e for e in g.edge_ids() if singles[frozenset({e})] == 1)
+    deleted = max(e for e in g.edge_ids() if e != contracted)
+    session = OracleSession(g, kind)
+    session.contract({contracted})
+    session.delete({deleted})
+    consts = dataclasses.replace(Constants.desk(), girth_mult=3.0, cut_mult=3.0)
+    listed = 0
+    for ell in (1, 2, 3):
+        clist = list_circuits(session, ell, consts)
+        assert clist.mode == "brute"
+        expected = minor_circuits(g, kind, {contracted}, {deleted}, ell)
+        assert list(clist.circuits) == expected
+        listed += len(expected)
+    assert listed > 0
 
 
 def test_listing_sampled_regime_enumerated_cuts():

@@ -459,13 +459,14 @@ def test_graph_file_with_zero_denominator_weight_is_an_error(capsys, tmp_path, s
         ("sparsify", [0.5], "JSON object"),
         ("reweight", [0.5], "JSON object"),
         ("sparsify", {"k": 2.7}, "'k' must be int"),
-        ("sparsify", {"max_level": True}, "'max_level' must be int"),
+        ("sparsify", {"k": True}, "'k' must be int"),
         ("reweight", {"epsilon": "0.5"}, "'epsilon' must be int or float"),
         ("reweight", {"delta": "1/0"}, "delta must be a number or a rational string"),
         ("find-basis", {"girth_mult": "a"}, "'girth_mult' must be int or float"),
         ("find-basis", {"small_ell_cutoff": True}, "'small_ell_cutoff' must be int"),
         ("find-basis", {"enum_budget": 2.5}, "'enum_budget' must be int"),
         ("find-basis", [], "JSON object"),
+        ("sparsify", {"max_level": 20}, "unknown constants: ['max_level']"),
     ],
 )
 def test_constants_file_is_checked_the_same_for_every_command(
@@ -540,6 +541,41 @@ def test_gen_graph_reads_a_graph_file(capsys, tmp_path):
     code, out, _ = run_main(capsys, "gen", "--graph", str(path))
     assert code == 0
     assert out == g.to_text()
+
+
+@pytest.mark.parametrize("command", ["gen", "connectivity"])
+@pytest.mark.parametrize(
+    "flags",
+    [["--family", "cycle", "--params", "length=5"], ["--params", "length=5"], ["--gen-seed", "0"]],
+)
+def test_graph_file_with_generator_flags_is_a_usage_error(capsys, tmp_path, command, flags):
+    path = tmp_path / "theta.json"
+    path.write_text(gen_graph("theta", {"lengths": [2, 3, 4]}).to_json())
+    code, out, err = run_main(capsys, command, "--graph", str(path), *flags)
+    assert_one_error_line(code, out, err)
+    assert f"--graph FILE names the graph; {flags[0]}" in err
+
+
+def test_workflow_console_script_step_passes_here(tmp_path):
+    # the step's commands, with `edgewise` running this checkout's
+    # `python -m edgewise.cli` in a scratch directory
+    import yaml
+
+    workflow = yaml.safe_load((SRC.parent / ".github" / "workflows" / "tier1.yml").read_text())
+    step = next(s for s in workflow["jobs"]["tests"]["steps"] if s.get("name") == "Console script")
+    assert "edgewise gen --graph theta.json --family cycle --params length=5" in step["run"]
+    shim = tmp_path / "bin" / "edgewise"
+    shim.parent.mkdir()
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m edgewise.cli "$@"\n')
+    shim.chmod(0o755)
+    env = checkout_env()
+    env["PATH"] = os.pathsep.join([str(shim.parent), env["PATH"]])
+    run = subprocess.run(
+        ["bash", "-e", "-o", "pipefail", "-c", step["run"]],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.count("error: ") == 1
 
 
 # a --params value is an int or ints joined by ':'; nothing else is read

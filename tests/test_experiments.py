@@ -32,7 +32,6 @@ from edgewise.graph import Graph
 from edgewise.reweight import reweight_min_cut
 from edgewise.samplespace import (
     SupportTooLargeError,
-    almost_builder,
     build_almost_kwise,
     build_kwise,
     dump_support,
@@ -466,7 +465,7 @@ def floor_spaces(m):
     yield group_heterogeneous(build_kwise(sum(sizes), 9), sizes, 3, Fraction(0))
     yield group_heterogeneous(build_kwise(sum(sizes), 6), sizes, 2, Fraction(0), complemented=True)
     yield build_almost_kwise(m, 8, Fraction(1, 8))  # delta > 0, k above most cut sizes
-    yield with_marginal(almost_builder, m, 3, Fraction(1, 16), 2, complemented=True)
+    yield with_marginal(build_almost_kwise, m, 3, Fraction(1, 16), 2, complemented=True)
 
 
 def test_union_bound_floor_matches_per_cut_loop():
@@ -524,9 +523,10 @@ def test_sparsify_dumbbell_passes_despite_real_sampling():
 
 
 def test_sparsify_quantization_can_be_infeasible():
+    # the clique edges' rates fall below 2^-20, the deepest dyadic level
     g = gen_graph("dumbbell", {"left": 5, "right": 5})
-    with pytest.raises(ValueError, match="quantization infeasible"):
-        sparsify_experiment(g, 2, 0.9, 0.45, rate_scale=5e-4, max_level=0)
+    with pytest.raises(ValueError, match="quantization infeasible.*level > 20"):
+        sparsify_experiment(g, 2, 0.9, 0.45, rate_scale=1e-12)
 
 
 def test_sparsify_rejects_disconnected_input():

@@ -24,7 +24,6 @@ from edgewise.samplespace import (
     GroupedSpace,
     SpaceParams,
     SupportTooLargeError,
-    almost_builder,
     build_almost_kwise,
     build_kwise,
     build_space,
@@ -167,7 +166,7 @@ def test_grouped_L1_matches_underlying():
 
 def test_grouped_over_almost_space_within_delta():
     delta = Fraction(1, 8)
-    space = with_marginal(almost_builder, 4, 2, Fraction(1, 8), 2)
+    space = with_marginal(build_almost_kwise, 4, 2, Fraction(1, 8), 2)
     rep = verify_independence(space)
     assert rep.max_tv <= delta
 
@@ -248,7 +247,7 @@ def test_budget_rejected_at_enumeration_for_exact():
 
 
 def almost_grouped_space():
-    return with_marginal(almost_builder, 4, 2, Fraction(1, 8), 2)
+    return with_marginal(build_almost_kwise, 4, 2, Fraction(1, 8), 2)
 
 
 def test_descriptor_roundtrip():
@@ -370,7 +369,7 @@ def test_build_space_names_one_space_per_choice():
     assert same(build_space(6, 3, 0), build_kwise(6, 3))
     assert same(build_space(6, 3, eighth), build_almost_kwise(6, 3, eighth))
     assert same(build_space(4, 2, 0, 3), with_marginal(exact_builder, 4, 2, 0, 3))
-    assert same(build_space(4, 2, eighth, 2), with_marginal(almost_builder, 4, 2, eighth, 2))
+    assert same(build_space(4, 2, eighth, 2), with_marginal(build_almost_kwise, 4, 2, eighth, 2))
     for L in (0, -3):
         with pytest.raises(ValueError, match="L must be >= 1"):
             build_space(4, 2, 0, L)
@@ -401,7 +400,7 @@ DIFFERENTIAL_CASES = {
     "almost(1,1) k_check=3": (build_almost_kwise(1, 1, HALF), 3, None),
     # complemented grouped spaces
     "grouped almost comp": (
-        with_marginal(almost_builder, 4, 2, EIGHTH, 2, complemented=True), None, None
+        with_marginal(build_almost_kwise, 4, 2, EIGHTH, 2, complemented=True), None, None
     ),
     "grouped exact comp k_check=3": (
         with_marginal(exact_builder, 5, 1, Fraction(0), 2, complemented=True), 3, None
@@ -415,7 +414,7 @@ DIFFERENTIAL_CASES = {
     ),
     # group_heterogeneous over a GroupedSpace
     "hetero over grouped": (
-        group_heterogeneous(with_marginal(almost_builder, 6, 2, HALF, 2), [1, 0, 2, 3], 2, HALF),
+        group_heterogeneous(with_marginal(build_almost_kwise, 6, 2, HALF, 2), [1, 0, 2, 3], 2, HALF),
         4,
         None,
     ),
@@ -558,11 +557,11 @@ BLOCK_SPACES = {
         "4b5298f64ee2f52cbff207cba1d12842d0bb00d093a7be2ae34a00953b590477",
     ),
     "marginal(almost(18,4,1/8),L=2)": (
-        lambda: with_marginal(almost_builder, 9, 2, Fraction(1, 8), 2),
+        lambda: with_marginal(build_almost_kwise, 9, 2, Fraction(1, 8), 2),
         "a37c7150f6ac47c96580e3cac3f268ac7222c0ce37573d8518a01d29203e5a72",
     ),
     "complemented(almost(18,4,1/8),L=2)": (
-        lambda: with_marginal(almost_builder, 9, 2, Fraction(1, 8), 2, complemented=True),
+        lambda: with_marginal(build_almost_kwise, 9, 2, Fraction(1, 8), 2, complemented=True),
         "daaf7044ab5a98549084f0c9521ecc96badd4d868d5db012a8e1df78982e00b8",
     ),
     "heterogeneous-empty-group": (
@@ -590,7 +589,7 @@ def test_support_blocks_join_to_the_pinned_support(name):
         build_kwise(5, 3),
         build_almost_kwise(6, 2, Fraction(1, 4)),
         build_almost_kwise(70, 2, QUARTER),
-        with_marginal(almost_builder, 3, 1, HALF, 2, complemented=True),
+        with_marginal(build_almost_kwise, 3, 1, HALF, 2, complemented=True),
     ],
     ids=["kwise(5,3)", "almost(6,2,1/4)", "almost(70,2,1/4)", "complemented"],
 )
@@ -643,7 +642,7 @@ def test_mode_blocks_check_at_the_call_before_any_block(
         mode_blocks(space, mode, budget, count, 0)
 
 
-@pytest.mark.parametrize("builder,delta", [(exact_builder, 0), (almost_builder, EIGHTH)])
+@pytest.mark.parametrize("builder,delta", [(exact_builder, 0), (build_almost_kwise, EIGHTH)])
 @pytest.mark.parametrize("complemented", [False, True])
 def test_with_marginal_is_group_heterogeneous_of_equal_groups(builder, delta, complemented):
     n, k, L = 5, 2, 2
@@ -685,7 +684,7 @@ SAMPLED_SPACES = {
     # 2^40 seeds, far over the enumeration budget
     "almost over budget": lambda: build_almost_kwise(40, 4, Fraction(1, 1 << 12)),
     "grouped almost comp": lambda: with_marginal(
-        almost_builder, 9, 2, Fraction(1, 8), 2, complemented=True
+        build_almost_kwise, 9, 2, Fraction(1, 8), 2, complemented=True
     ),
     "hetero empty group": lambda: group_heterogeneous(
         build_kwise(70, 8), [2, 0, 3, 1] * 10 + [4, 6], 2, Fraction(0)
